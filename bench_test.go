@@ -10,6 +10,7 @@ package ocb_test
 
 import (
 	"fmt"
+	"net"
 	"sync/atomic"
 	"testing"
 
@@ -23,6 +24,7 @@ import (
 	"ocb/internal/oo1"
 	"ocb/internal/report"
 	"ocb/internal/store"
+	"ocb/internal/wire"
 )
 
 var quick = exp.Config{Quick: true}
@@ -263,6 +265,55 @@ func BenchmarkStoreAccess(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
+	})
+}
+
+// BenchmarkRemoteAccess is the wire layer's number: the remote driver
+// over loopback to an in-process server hosting a resident paged store.
+// Access pays one round trip per object; AccessBatch pays one per batch of
+// 512, the chunk the core executor faults every read transaction in. Both
+// report ns/oid, so the ratio is the per-object saving of batching.
+func BenchmarkRemoteAccess(b *testing.B) {
+	hosted, err := backend.Open("paged", backend.Config{BufferPages: 2048})
+	if err != nil {
+		b.Fatal(err)
+	}
+	oids := make([]backend.OID, 512)
+	for i := range oids {
+		if oids[i], err = hosted.Create(100); err != nil {
+			b.Fatal(err)
+		}
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	srv := wire.NewServer(hosted, "paged", nil)
+	go func() { _ = srv.Serve(ln) }()
+	client, err := backend.Open("remote", backend.Config{Options: map[string]string{"addr": ln.Addr().String()}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() {
+		_ = backend.Shutdown(client)
+		srv.Shutdown()
+		_ = backend.Shutdown(hosted)
+	})
+	b.Run("Access", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if err := client.Access(oids[i%len(oids)]); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/oid")
+	})
+	b.Run("AccessBatch", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if n, err := client.AccessBatch(oids); err != nil || n != len(oids) {
+				b.Fatalf("AccessBatch = %d, %v", n, err)
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(oids)), "ns/oid")
 	})
 }
 

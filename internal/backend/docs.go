@@ -41,9 +41,14 @@
 //     generation algorithms assert object #i got OID i.
 //   - Dead OIDs return an error wrapping ErrNoSuchObject and never
 //     resurrect; negative sizes return ErrBadSize wrapped.
-//   - AccessBatch(oids) must charge exactly the I/Os and counters the
-//     equivalent sequence of Access calls would, and on error report the
-//     completed prefix length.
+//   - AccessBatch(oids) must charge exactly the I/Os, counters and
+//     replacement decisions the equivalent sequence of Access calls
+//     would, repeats included, and on error report the completed prefix
+//     length. This contract carries every read transaction, not just set
+//     levels and scans: core.Executor plans each traversal in memory and
+//     faults it as an ordered stream of AccessBatch calls of at most 512
+//     OIDs, so a driver whose batch diverges from its Access sequence
+//     changes every measured I/O figure.
 //   - Every method is safe for concurrent use (the benchmark runs
 //     CLIENTN > 1), and the Access/AccessBatch/Update hot path must not
 //     allocate in steady state — the executors enforce zero allocations

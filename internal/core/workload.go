@@ -85,11 +85,32 @@ type TxResult struct {
 // Executor runs transactions against a database on behalf of one client,
 // feeding the clustering policy's observation phase along the way.
 //
+// Every read transaction has one fault path: plan, then fault in order.
+// The walk order of set access, the three traversals, scans and range
+// lookups comes only from the in-memory object graph and the client's
+// random source — never from what a fault returns — so each transaction
+// appends its visits as (from, to) pairs to a plan, and the plan is
+// faulted through Store.AccessBatch one chunk of at most scanBatch visits
+// at a time, and once more at the end. AccessBatch charges exactly the
+// I/Os, counters and replacement decisions of the equivalent Access
+// sequence, repeats included, so access order and every measurement are
+// those of per-object faulting; only the number of driver calls (lock
+// acquisitions, syscalls, network round trips) falls, to about one per
+// chunk. After each chunk the policy observes the completed prefix in
+// visit order: ObserveRoot for a visit without a parent, ObserveLink
+// otherwise.
+//
+// On an error the transaction returns the completed prefix count, and the
+// policy has observed only that prefix. One difference from per-object
+// faulting remains on that path: a stochastic walk may already have drawn
+// its Src choices for the unfaulted rest of the chunk. On success the Src
+// stream is exactly the per-object walk's.
+//
 // The executor owns reusable per-client scratch state — a
-// generation-stamped seen-set and pooled BFS frontier buffers — so the
-// transaction fast path allocates nothing per visited object: the harness's
-// own overhead stays out of the measured response times, as the benchmark
-// design demands.
+// generation-stamped seen-set, the breadth-first queue and the plan,
+// which never grows past one chunk — so the transaction fast path
+// allocates nothing per visited object: the harness's own overhead stays
+// out of the measured response times, as the benchmark design demands.
 type Executor struct {
 	DB *Database
 	// Policy receives ObserveLink/ObserveRoot/EndTransaction callbacks;
@@ -102,16 +123,27 @@ type Executor struct {
 	// stamping instead of reallocating a map per transaction (the scratch
 	// now lives in the workload engine, shared by every suite).
 	seen workload.SeenSet
-	// frontier/next are the BFS level buffers, swapped each level;
-	// nextFrom records each discovery's parent for policy observation.
+	// frontier is set access's breadth-first queue: every discovered
+	// object in discovery order, levels delimited by index.
 	frontier []backend.OID
+	// next and nextFrom are the plan: the pending visits of the current
+	// chunk and each visit's parent (NilOID for roots).
 	next     []backend.OID
 	nextFrom []backend.OID
+	// accessed counts the current transaction's faulted visits.
+	accessed int
+	// quiet suppresses per-visit observation for the transactions that
+	// observe only their root (scan, range lookup).
+	quiet bool
 }
 
 // NewExecutor returns an executor for db feeding policy (may be nil).
 func NewExecutor(db *Database, policy cluster.Policy, src *lewis.Source) *Executor {
-	return &Executor{DB: db, Policy: policy, Src: src}
+	return &Executor{
+		DB: db, Policy: policy, Src: src,
+		next:     make([]backend.OID, 0, scanBatch),
+		nextFrom: make([]backend.OID, 0, scanBatch),
+	}
 }
 
 // mutating reports whether the transaction restructures the in-memory
@@ -121,7 +153,9 @@ func (tx Transaction) mutating() bool {
 }
 
 // Exec runs one transaction, returning objects accessed, I/Os charged to
-// the transaction class, and wall-clock duration.
+// the transaction class, and wall-clock duration. On an error only
+// ObjectsAccessed is set: the completed prefix of the transaction's
+// visits.
 //
 // Concurrency: read-only transaction types share-lock the database's graph
 // lock, so traversals from many clients proceed in parallel; insertions
@@ -147,7 +181,7 @@ func (e *Executor) Exec(tx Transaction) (TxResult, error) {
 
 	accessed, err := e.execLocked(tx)
 	if err != nil {
-		return TxResult{}, err
+		return TxResult{ObjectsAccessed: accessed}, err
 	}
 
 	after := e.DB.Store.DiskStats()
@@ -177,7 +211,7 @@ func (e *Executor) ExecCounted(tx Transaction) (int, error) {
 
 // execLocked is the transaction body shared by Exec and ExecCounted; the
 // caller holds the database's graph lock in the mode tx.mutating()
-// demands.
+// demands. On an error it returns the completed prefix count.
 //
 //ocblint:allocfree -- steady-state hot path
 func (e *Executor) execLocked(tx Transaction) (int, error) {
@@ -196,6 +230,8 @@ func (e *Executor) execLocked(tx Transaction) (int, error) {
 			tx.Root = root
 		}
 	}
+	e.next, e.nextFrom = e.next[:0], e.nextFrom[:0]
+	e.accessed, e.quiet = 0, false
 
 	var accessed int
 	var err error
@@ -222,7 +258,7 @@ func (e *Executor) execLocked(tx Transaction) (int, error) {
 		return 0, fmt.Errorf("ocb: unknown transaction type %v", tx.Type)
 	}
 	if err != nil {
-		return 0, err
+		return accessed, err
 	}
 	if e.Policy != nil {
 		e.Policy.EndTransaction()
@@ -230,86 +266,105 @@ func (e *Executor) execLocked(tx Transaction) (int, error) {
 	return accessed, nil
 }
 
-// visit faults the object and notifies the policy of the crossing from
-// src (NilOID for roots).
+// plan appends one visit — to, reached from from (NilOID for a root) — to
+// the plan, faulting the chunk once it holds scanBatch visits, so a fault
+// batch never pins paged's structural lock longer than a scan batch does.
 //
 //ocblint:allocfree -- steady-state hot path
-func (e *Executor) visit(from, to backend.OID) error {
-	if err := e.DB.Store.Access(to); err != nil {
-		return err
-	}
-	if e.Policy != nil {
-		if from == backend.NilOID {
-			e.Policy.ObserveRoot(to)
-		} else {
-			e.Policy.ObserveLink(from, to)
-		}
-	}
-	return nil
-}
-
-// discover marks a successor as seen and queues it for the level's batched
-// access, remembering the parent link for policy observation.
-//
-//ocblint:allocfree -- steady-state hot path
-func (e *Executor) discover(from, to backend.OID) {
-	if !e.seen.Add(to) {
-		return
-	}
+func (e *Executor) plan(from, to backend.OID) error {
 	e.next = append(e.next, to)
 	e.nextFrom = append(e.nextFrom, from)
+	if len(e.next) < scanBatch {
+		return nil
+	}
+	return e.flush()
+}
+
+// flush faults the planned visits in order through one Store.AccessBatch
+// call, lets the policy observe the completed prefix, and empties the
+// plan. An empty plan costs no driver call.
+//
+//ocblint:allocfree -- steady-state hot path
+func (e *Executor) flush() error {
+	if len(e.next) == 0 {
+		return nil
+	}
+	n, err := e.DB.Store.AccessBatch(e.next)
+	if e.Policy != nil && !e.quiet {
+		for i := 0; i < n; i++ {
+			if from := e.nextFrom[i]; from == backend.NilOID {
+				e.Policy.ObserveRoot(e.next[i])
+			} else {
+				e.Policy.ObserveLink(from, e.next[i])
+			}
+		}
+	}
+	e.accessed += n
+	e.next, e.nextFrom = e.next[:0], e.nextFrom[:0]
+	return err
+}
+
+// finish faults the rest of the plan and returns the transaction's
+// completed visit count.
+//
+//ocblint:allocfree -- steady-state hot path
+func (e *Executor) finish() (int, error) {
+	err := e.flush()
+	return e.accessed, err
+}
+
+// discover marks a successor as seen and, when new, queues it for the
+// next level and plans its visit.
+//
+//ocblint:allocfree -- steady-state hot path
+func (e *Executor) discover(from, to backend.OID) error {
+	if !e.seen.Add(to) {
+		return nil
+	}
+	e.frontier = append(e.frontier, to)
+	return e.plan(from, to)
 }
 
 // setAccess is the set-oriented access: breadth-first on all the
 // references, up to depth hops, with set semantics (each object accessed
-// once — the breadth-first result is a set of qualifying objects). Each
-// level's discoveries are faulted through Store.AccessBatch — the page
-// faults land in exactly the discovery order sequential Access calls would
-// have used, so single-client measurements are unchanged — and the frontier
-// buffers and seen-set are the executor's reusable scratch.
+// once — the breadth-first result is a set of qualifying objects). The
+// visits are planned in discovery order, root first, level by level; the
+// queue and seen-set are the executor's reusable scratch.
 //
 //ocblint:allocfree -- steady-state hot path
 func (e *Executor) setAccess(root backend.OID, depth int, reverse bool) (int, error) {
-	if e.DB.Object(root) == nil {
-		return 0, fmt.Errorf("ocb: bad root %d", root)
-	}
 	e.seen.Reset(len(e.DB.Objects))
 	e.seen.Add(root)
-	if err := e.visit(backend.NilOID, root); err != nil {
-		return 0, err
-	}
-	accessed := 1
 	e.frontier = append(e.frontier[:0], root)
-	for level := 0; level < depth && len(e.frontier) > 0; level++ {
-		e.next = e.next[:0]
-		e.nextFrom = e.nextFrom[:0]
-		for _, oid := range e.frontier {
+	if err := e.plan(backend.NilOID, root); err != nil {
+		return e.accessed, err
+	}
+	for level, lo := 0, 0; level < depth && lo < len(e.frontier); level++ {
+		hi := len(e.frontier)
+		// discover appends the next level to the queue; the range keeps
+		// iterating this level's bounds.
+		for _, oid := range e.frontier[lo:hi] {
 			obj := e.DB.Object(oid)
 			if reverse {
 				for _, succ := range obj.BackRef {
-					e.discover(oid, succ)
-				}
-			} else {
-				for _, succ := range obj.ORef {
-					if succ != backend.NilOID {
-						e.discover(oid, succ)
+					if err := e.discover(oid, succ); err != nil {
+						return e.accessed, err
 					}
 				}
+				continue
+			}
+			for _, succ := range obj.ORef {
+				if succ == backend.NilOID {
+					continue
+				}
+				if err := e.discover(oid, succ); err != nil {
+					return e.accessed, err
+				}
 			}
 		}
-		n, err := e.DB.Store.AccessBatch(e.next)
-		if e.Policy != nil {
-			for i := 0; i < n; i++ {
-				e.Policy.ObserveLink(e.nextFrom[i], e.next[i])
-			}
-		}
-		accessed += n
-		if err != nil {
-			return accessed, err
-		}
-		e.frontier, e.next = e.next, e.frontier
+		lo = hi
 	}
-	return accessed, nil
+	return e.finish()
 }
 
 // simple is the simple traversal: depth-first on all the references up to
@@ -317,56 +372,48 @@ func (e *Executor) setAccess(root backend.OID, depth int, reverse bool) (int, er
 //
 //ocblint:allocfree -- steady-state hot path
 func (e *Executor) simple(root backend.OID, depth int, reverse bool) (int, error) {
-	if e.DB.Object(root) == nil {
-		return 0, fmt.Errorf("ocb: bad root %d", root)
+	if err := e.plan(backend.NilOID, root); err != nil {
+		return e.accessed, err
 	}
-	if err := e.visit(backend.NilOID, root); err != nil {
-		return 0, err
+	if err := e.simpleDFS(root, depth, reverse); err != nil {
+		return e.accessed, err
 	}
-	n, err := e.simpleDFS(root, depth, reverse)
-	return 1 + n, err
+	return e.finish()
 }
 
-// simpleDFS walks all references of oid depth-first for remaining more
-// hops, iterating reference slots in place (no successor slice is
-// materialized) and returning how many objects it accessed.
+// simpleDFS plans the visits of all references of oid depth-first for
+// remaining more hops, iterating reference slots in place (no successor
+// slice is materialized).
 //
 //ocblint:allocfree -- steady-state hot path
-func (e *Executor) simpleDFS(oid backend.OID, remaining int, reverse bool) (int, error) {
+func (e *Executor) simpleDFS(oid backend.OID, remaining int, reverse bool) error {
 	if remaining == 0 {
-		return 0, nil
+		return nil
 	}
 	obj := e.DB.Object(oid)
-	n := 0
 	if reverse {
 		for _, succ := range obj.BackRef {
-			if err := e.visit(oid, succ); err != nil {
-				return n, err
+			if err := e.plan(oid, succ); err != nil {
+				return err
 			}
-			n++
-			c, err := e.simpleDFS(succ, remaining-1, reverse)
-			n += c
-			if err != nil {
-				return n, err
+			if err := e.simpleDFS(succ, remaining-1, reverse); err != nil {
+				return err
 			}
 		}
-		return n, nil
+		return nil
 	}
 	for _, succ := range obj.ORef {
 		if succ == backend.NilOID {
 			continue
 		}
-		if err := e.visit(oid, succ); err != nil {
-			return n, err
+		if err := e.plan(oid, succ); err != nil {
+			return err
 		}
-		n++
-		c, err := e.simpleDFS(succ, remaining-1, reverse)
-		n += c
-		if err != nil {
-			return n, err
+		if err := e.simpleDFS(succ, remaining-1, reverse); err != nil {
+			return err
 		}
 	}
-	return n, nil
+	return nil
 }
 
 // hierarchy is the hierarchy traversal: depth-first always following the
@@ -374,29 +421,27 @@ func (e *Executor) simpleDFS(oid backend.OID, remaining int, reverse bool) (int,
 //
 //ocblint:allocfree -- steady-state hot path
 func (e *Executor) hierarchy(root backend.OID, depth, refType int, reverse bool) (int, error) {
-	if e.DB.Object(root) == nil {
-		return 0, fmt.Errorf("ocb: bad root %d", root)
+	if err := e.plan(backend.NilOID, root); err != nil {
+		return e.accessed, err
 	}
-	if err := e.visit(backend.NilOID, root); err != nil {
-		return 0, err
+	if err := e.hierarchyDFS(root, depth, refType, reverse); err != nil {
+		return e.accessed, err
 	}
-	n, err := e.hierarchyDFS(root, depth, refType, reverse)
-	return 1 + n, err
+	return e.finish()
 }
 
-// hierarchyDFS walks the references of oid whose declared type is refType,
-// depth-first for remaining more hops. Reversed, it follows the BackRef
-// entries whose owning object points back at oid through a reference of
-// that type. The type filter is applied in place while iterating, so no
-// successor slice is materialized.
+// hierarchyDFS plans the visits of the references of oid whose declared
+// type is refType, depth-first for remaining more hops. Reversed, it
+// follows the BackRef entries whose owning object points back at oid
+// through a reference of that type. The type filter is applied in place
+// while iterating, so no successor slice is materialized.
 //
 //ocblint:allocfree -- steady-state hot path
-func (e *Executor) hierarchyDFS(oid backend.OID, remaining, refType int, reverse bool) (int, error) {
+func (e *Executor) hierarchyDFS(oid backend.OID, remaining, refType int, reverse bool) error {
 	if remaining == 0 {
-		return 0, nil
+		return nil
 	}
 	obj := e.DB.Object(oid)
-	n := 0
 	if reverse {
 		for _, from := range obj.BackRef {
 			fobj := e.DB.Object(from)
@@ -411,34 +456,28 @@ func (e *Executor) hierarchyDFS(oid backend.OID, remaining, refType int, reverse
 			if !matched {
 				continue
 			}
-			if err := e.visit(oid, from); err != nil {
-				return n, err
+			if err := e.plan(oid, from); err != nil {
+				return err
 			}
-			n++
-			c, err := e.hierarchyDFS(from, remaining-1, refType, reverse)
-			n += c
-			if err != nil {
-				return n, err
+			if err := e.hierarchyDFS(from, remaining-1, refType, reverse); err != nil {
+				return err
 			}
 		}
-		return n, nil
+		return nil
 	}
 	class := e.DB.Schema.Class(obj.Class)
 	for k, succ := range obj.ORef {
 		if succ == backend.NilOID || class.TRef[k] != refType {
 			continue
 		}
-		if err := e.visit(oid, succ); err != nil {
-			return n, err
+		if err := e.plan(oid, succ); err != nil {
+			return err
 		}
-		n++
-		c, err := e.hierarchyDFS(succ, remaining-1, refType, reverse)
-		n += c
-		if err != nil {
-			return n, err
+		if err := e.hierarchyDFS(succ, remaining-1, refType, reverse); err != nil {
+			return err
 		}
 	}
-	return n, nil
+	return nil
 }
 
 // stochastic is the stochastic traversal: a random walk of depth steps
@@ -450,13 +489,9 @@ func (e *Executor) hierarchyDFS(oid backend.OID, remaining, refType int, reverse
 //
 //ocblint:allocfree -- steady-state hot path
 func (e *Executor) stochastic(root backend.OID, depth int, reverse bool) (int, error) {
-	if e.DB.Object(root) == nil {
-		return 0, fmt.Errorf("ocb: bad root %d", root)
+	if err := e.plan(backend.NilOID, root); err != nil {
+		return e.accessed, err
 	}
-	if err := e.visit(backend.NilOID, root); err != nil {
-		return 0, err
-	}
-	accessed := 1
 	cur := root
 	for step := 0; step < depth; step++ {
 		obj := e.DB.Object(cur)
@@ -496,13 +531,12 @@ func (e *Executor) stochastic(root backend.OID, depth int, reverse bool) (int, e
 				k--
 			}
 		}
-		if err := e.visit(cur, next); err != nil {
-			return accessed, err
+		if err := e.plan(cur, next); err != nil {
+			return e.accessed, err
 		}
-		accessed++
 		cur = next
 	}
-	return accessed, nil
+	return e.finish()
 }
 
 // update modifies one object in place and commits — the update operation
@@ -551,40 +585,36 @@ func (e *Executor) delete(root backend.OID) (int, error) {
 	return touched, nil
 }
 
-// scanBatch bounds how many objects one AccessBatch call covers during a
-// scan, so a whole-database scan does not pin store locks for its full
-// duration.
+// scanBatch is the plan's chunk: the most visits one AccessBatch call
+// covers, so neither a whole-database scan nor a long traversal pins
+// store locks for its full duration.
 const scanBatch = 512
 
 // scan visits every live object in OID order — HyperModel's Sequential
-// Scan, excluded from the clustering workload and restored by §5. It walks
-// one live-OID snapshot (the database's cached ascending snapshot, not a
-// freshly built slice) in bounded batches through Store.AccessBatch.
+// Scan, excluded from the clustering workload and restored by §5. It
+// plans the database's cached ascending live-OID snapshot (not a freshly
+// built slice) and observes only the first object, as the transaction's
+// root.
 //
 //ocblint:allocfree -- steady-state hot path
 func (e *Executor) scan() (int, error) {
 	live := e.DB.LiveOIDs()
-	n := 0
-	for start := 0; start < len(live); start += scanBatch {
-		end := start + scanBatch
-		if end > len(live) {
-			end = len(live)
-		}
-		k, err := e.DB.Store.AccessBatch(live[start:end])
-		n += k
-		if err != nil {
-			return n, err
+	e.quiet = true
+	for _, oid := range live {
+		if err := e.plan(backend.NilOID, oid); err != nil {
+			return e.accessed, err
 		}
 	}
-	if e.Policy != nil && n > 0 {
+	n, err := e.finish()
+	if err == nil && e.Policy != nil && n > 0 {
 		e.Policy.ObserveRoot(live[0])
 	}
-	return n, nil
+	return n, err
 }
 
 // rangeLookup visits the live objects whose OID falls within a 1%-of-NO
 // window starting at the root — HyperModel's Range Lookup analogue over
-// the object identifier attribute.
+// the object identifier attribute. The policy observes the root only.
 //
 //ocblint:allocfree -- steady-state hot path
 func (e *Executor) rangeLookup(root backend.OID) (int, error) {
@@ -592,19 +622,19 @@ func (e *Executor) rangeLookup(root backend.OID) (int, error) {
 	if width < 1 {
 		width = 1
 	}
-	n := 0
+	e.quiet = true
 	for i := 0; i < width; i++ {
 		oid := root + backend.OID(i)
 		if e.DB.Object(oid) == nil {
 			continue
 		}
-		if err := e.DB.Store.Access(oid); err != nil {
-			return n, err
+		if err := e.plan(backend.NilOID, oid); err != nil {
+			return e.accessed, err
 		}
-		n++
 	}
-	if e.Policy != nil {
+	n, err := e.finish()
+	if err == nil && e.Policy != nil {
 		e.Policy.ObserveRoot(root)
 	}
-	return n, nil
+	return n, err
 }

@@ -296,19 +296,29 @@ func TestTxTypeString(t *testing.T) {
 	}
 }
 
-// recordingPolicy captures observation callbacks for assertions.
+// observation is one policy callback: ObserveRoot(to) when from is NilOID,
+// ObserveLink(from, to) otherwise.
+type observation struct{ from, to backend.OID }
+
+// recordingPolicy captures observation callbacks for assertions: links
+// and roots apart, and the whole callback sequence in order.
 type recordingPolicy struct {
 	crossings []struct{ src, dst backend.OID }
 	roots     []backend.OID
+	seen      []observation
 	endTx     int
 }
 
 func (r *recordingPolicy) Name() string { return "recording" }
 func (r *recordingPolicy) ObserveLink(src, dst backend.OID) {
 	r.crossings = append(r.crossings, struct{ src, dst backend.OID }{src, dst})
+	r.seen = append(r.seen, observation{src, dst})
 }
-func (r *recordingPolicy) ObserveRoot(root backend.OID) { r.roots = append(r.roots, root) }
-func (r *recordingPolicy) EndTransaction()              { r.endTx++ }
+func (r *recordingPolicy) ObserveRoot(root backend.OID) {
+	r.roots = append(r.roots, root)
+	r.seen = append(r.seen, observation{backend.NilOID, root})
+}
+func (r *recordingPolicy) EndTransaction() { r.endTx++ }
 func (r *recordingPolicy) Reorganize(backend.Backend) (backend.RelocStats, error) {
 	return backend.RelocStats{}, nil
 }

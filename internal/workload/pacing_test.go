@@ -16,14 +16,16 @@ import (
 // regardless of the backlog — this test fails against that code.
 func TestOpenLoopLatencyIncludesQueueingDelay(t *testing.T) {
 	be := testBackend(t, 10)
+	clk := newVirtualClock(1)
 	res, err := Run(&Spec{
 		Name:     "co",
 		Backend:  be,
 		Measured: 10,
 		Think:    time.Millisecond,
 		OpenLoop: true,
+		Clock:    clk,
 		Ops: []Op{{Name: "slow", Weight: 1, Run: func(*Ctx) (int, error) {
-			time.Sleep(5 * time.Millisecond)
+			clk.Sleep(5 * time.Millisecond)
 			return 1, nil
 		}}},
 	})
@@ -40,6 +42,10 @@ func TestOpenLoopLatencyIncludesQueueingDelay(t *testing.T) {
 	if mean := res.Total.Response.Mean(); mean < 8000 {
 		t.Fatalf("open-loop mean = %.0fµs; queueing delay omitted", mean)
 	}
+	// On the virtual clock the backlog is exact: the last op waited 9·4ms.
+	if max := res.Total.Response.Max(); max != 41000 {
+		t.Fatalf("open-loop max latency = %.0fµs, want exactly 41000", max)
+	}
 }
 
 // TestClosedLoopLatencyExcludesThink pins the complement: closed-loop
@@ -51,6 +57,7 @@ func TestClosedLoopLatencyExcludesThink(t *testing.T) {
 		Backend:  be,
 		Measured: 5,
 		Think:    3 * time.Millisecond,
+		Clock:    newVirtualClock(1),
 		Ops:      []Op{accessOp("x", be, 10, 1, 0)},
 	})
 	if err != nil {
@@ -59,23 +66,28 @@ func TestClosedLoopLatencyExcludesThink(t *testing.T) {
 	if p95 := res.P95(); p95 > 2000 {
 		t.Fatalf("closed-loop P95 = %.0fµs includes think time", p95)
 	}
+	// The thinks themselves ran: five of them on the phase clock.
+	if res.Duration != 15*time.Millisecond {
+		t.Fatalf("closed-loop duration = %v, want exactly 15ms of think", res.Duration)
+	}
 }
 
 // TestRateModePacesAcrossClients pins Rate semantics: the target is ops
 // per second across *all* clients, so the same total rate stretches over
-// the same wall clock regardless of the client count.
+// the same clock time regardless of the client count.
 func TestRateModePacesAcrossClients(t *testing.T) {
 	for _, clients := range []int{1, 4} {
 		be := testBackend(t, 10)
 		perClient := 40 / clients
-		start := time.Now()
+		clk := newVirtualClock(clients)
 		res, err := Run(&Spec{
 			Name:     "rate",
 			Backend:  be,
 			Clients:  clients,
 			Measured: perClient,
 			Rate:     2000,
-			Ops:      []Op{accessOp("x", be, 10, 1, 0)},
+			Clock:    clk,
+			Ops:      []Op{leaveAfter(clk, clients, perClient, accessOp("x", be, 10, 1, 0))},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -83,9 +95,12 @@ func TestRateModePacesAcrossClients(t *testing.T) {
 		if res.Executed != 40 {
 			t.Fatalf("clients=%d: executed = %d", clients, res.Executed)
 		}
-		// 40 arrivals at 2000/s is ~20ms of schedule either way.
-		if elapsed := time.Since(start); elapsed < 12*time.Millisecond {
-			t.Fatalf("clients=%d: rate run finished in %v; arrival schedule not applied", clients, elapsed)
+		// 40 arrivals at 2000/s is 19.5ms of schedule either way: one
+		// client's last arrival is 39 intervals of 500µs after its first;
+		// four clients each arrive every 2ms, staggered 500µs apart, so
+		// the last (client 3's tenth) lands at 1.5ms + 9·2ms.
+		if res.Duration != 19500*time.Microsecond {
+			t.Fatalf("clients=%d: rate run took %v, want exactly 19.5ms of schedule", clients, res.Duration)
 		}
 		// A fast op under a sustainable rate has tiny arrival-to-done
 		// latency: the schedule waits, the op does not.
@@ -147,6 +162,7 @@ func TestStochasticPacingKeepsOpStreams(t *testing.T) {
 // arrival gaps are drawn around the rate's interval, and the op stream
 // still matches the unpaced run.
 func TestStochasticRatePacing(t *testing.T) {
+	var elapsed time.Duration
 	run := func(rate float64, dist string) string {
 		be := testBackend(t, 50)
 		res, err := Run(&Spec{
@@ -156,16 +172,17 @@ func TestStochasticRatePacing(t *testing.T) {
 			Seed:      9,
 			Rate:      rate,
 			ThinkDist: dist,
+			Clock:     newVirtualClock(1),
 			Ops:       []Op{accessOp("x", be, 50, 1, 0)},
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
+		elapsed = res.Duration
 		return signatureOf(res)
 	}
-	start := time.Now()
 	stoch := run(5000, "negexp:0.5")
-	if elapsed := time.Since(start); elapsed < 5*time.Millisecond {
+	if elapsed < 5*time.Millisecond {
 		t.Fatalf("stochastic rate run finished in %v; gaps not applied", elapsed)
 	}
 	if unpaced := run(0, ""); stoch != unpaced {

@@ -85,21 +85,24 @@ func TestSweepRejectsBadGrid(t *testing.T) {
 	}
 }
 
-// kneeSpec builds a spec whose single op sleeps `service` per call on one
-// client: a synthetic system with a programmable latency knee at
-// 1/service ops/sec. Below the knee open-loop latency is ~service; above
-// it arrivals queue faster than they drain, latency grows without bound
-// and achieved throughput caps at the knee.
+// kneeSpec builds a spec whose single op takes exactly `service` of
+// virtual time per call on one client: a synthetic system with a
+// programmable latency knee at 1/service ops/sec. Below the knee
+// open-loop latency is service; above it arrivals queue faster than they
+// drain, latency grows without bound and achieved throughput caps at the
+// knee.
 func kneeSpec(t *testing.T, service time.Duration, measured int) *Spec {
 	t.Helper()
 	be := testBackend(t, 5)
+	clk := newVirtualClock(1)
 	return &Spec{
 		Name:     "knee",
 		Backend:  be,
 		Measured: measured,
 		Seed:     8,
+		Clock:    clk,
 		Ops: []Op{{Name: "serve", Weight: 1, Run: func(*Ctx) (int, error) {
-			time.Sleep(service)
+			clk.Sleep(service)
 			return 1, nil
 		}}},
 	}

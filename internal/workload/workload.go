@@ -137,6 +137,11 @@ type Spec struct {
 	SLO *SLO
 	// Seed drives the default per-client sources.
 	Seed int64
+	// Clock is the time source of every timing site — the phase clock,
+	// the pacer's arrival schedule and think sleeps, and per-op response
+	// times. Nil means the wall clock; tests substitute a virtual clock so
+	// a synthetic op can take exactly its modeled service time.
+	Clock Clock
 	// ColdStart drops the backend's cache before the run.
 	ColdStart bool
 	// Backend is the system under test; the runner samples its disk
@@ -274,10 +279,30 @@ func (r *Result) MeanIOsPerOp() float64 {
 	return float64(r.DiskDelta.TransactionIOs()) / float64(r.Executed)
 }
 
+// Clock is the engine's time source.
+type Clock interface {
+	Now() time.Time
+	Sleep(d time.Duration)
+}
+
+// wallClock is the default Clock: real time.
+type wallClock struct{}
+
+// Now implements Clock.
+func (wallClock) Now() time.Time {
+	//ocblint:allow determinism -- harness timing, not op logic
+	return time.Now()
+}
+
+// Sleep implements Clock.
+func (wallClock) Sleep(d time.Duration) { time.Sleep(d) }
+
 // Runner executes one Spec.
 type Runner struct {
 	Spec *Spec
 
+	// clock is the resolved Spec.Clock, fixed for the run.
+	clock Clock
 	// thinkDist is the parsed Spec.ThinkDist (nil for constant pacing),
 	// resolved once per run.
 	thinkDist lewis.Distribution
@@ -409,6 +434,10 @@ func (r *Runner) Run() (*Result, error) {
 		// Already validated; the parse cannot fail here.
 		r.thinkDist, _ = lewis.ParseDistribution(s.ThinkDist)
 	}
+	r.clock = s.Clock
+	if r.clock == nil {
+		r.clock = wallClock{}
+	}
 	n := s.clients()
 	if s.ColdStart {
 		s.Backend.DropCache()
@@ -418,8 +447,7 @@ func (r *Runner) Run() (*Result, error) {
 	var start time.Time
 	beginMeasured := func() {
 		before = s.Backend.DiskStats()
-		//ocblint:allow determinism -- harness timing, not op logic
-		start = time.Now()
+		start = r.clock.Now()
 	}
 	results := make([]*clientResult, n)
 	errs := make([]error, n)
@@ -476,8 +504,7 @@ func (r *Runner) Run() (*Result, error) {
 		}
 	}
 	res.Executed = res.Total.Count
-	//ocblint:allow determinism -- harness timing, not op logic
-	res.Duration = time.Since(start)
+	res.Duration = r.clock.Now().Sub(start)
 	res.DiskDelta = s.Backend.DiskStats().Sub(before)
 	res.Backend = s.Backend.Stats()
 	if secs := res.Duration.Seconds(); secs > 0 {
@@ -567,9 +594,10 @@ const thinkSeedOffset = 32452843
 // completion, the classic interactive-client model. The zero pacer is
 // inert (saturation).
 type pacer struct {
-	open bool
-	next time.Time // next scheduled arrival (open loop only)
-	gap  func() time.Duration
+	clock Clock
+	open  bool
+	next  time.Time // next scheduled arrival (open loop only)
+	gap   func() time.Duration
 }
 
 // newPacer builds client c's pacer; call it when the measured phase
@@ -584,7 +612,7 @@ func (r *Runner) newPacer(c int) *pacer {
 	if mean <= 0 {
 		return &pacer{}
 	}
-	p := &pacer{open: s.openLoop(), gap: func() time.Duration { return mean }}
+	p := &pacer{clock: r.clock, open: s.openLoop(), gap: func() time.Duration { return mean }}
 	if r.thinkDist != nil {
 		// Stochastic think times: gaps drawn in whole microseconds over
 		// [0, 2*mean] from a dedicated per-client seed-derived stream —
@@ -600,8 +628,7 @@ func (r *Runner) newPacer(c int) *pacer {
 		}
 	}
 	if p.open {
-		//ocblint:allow determinism -- harness timing, not op logic
-		p.next = time.Now()
+		p.next = r.clock.Now()
 		if s.Rate > 0 {
 			p.next = p.next.Add(mean * time.Duration(c) / time.Duration(s.clients()))
 		}
@@ -618,9 +645,8 @@ func (p *pacer) beforeOp() time.Time {
 		return zeroTime
 	}
 	arrival := p.next
-	//ocblint:allow determinism -- harness timing, not op logic
-	if d := time.Until(arrival); d > 0 {
-		time.Sleep(d)
+	if d := arrival.Sub(p.clock.Now()); d > 0 {
+		p.clock.Sleep(d)
 	}
 	return arrival
 }
@@ -635,7 +661,7 @@ func (p *pacer) afterOp() {
 	if p.open {
 		p.next = p.next.Add(g)
 	} else if g > 0 {
-		time.Sleep(g)
+		p.clock.Sleep(g)
 	}
 }
 
@@ -664,7 +690,7 @@ func (s *Spec) weightedSampler() func(*Ctx) int {
 // (ErrSkip or a missing backend capability) is recorded, not failed.
 //
 // A non-zero arrival is the operation's scheduled arrival under open-loop
-// pacing: the recorded latency is time.Since(arrival) at completion, so an
+// pacing: the recorded latency runs from arrival to completion, so an
 // operation issued late (the runner stuck behind a slow predecessor)
 // carries its queueing delay — the coordinated-omission correction. The
 // lateness is sampled once at entry, before Pre, so Pre stays untimed.
@@ -674,8 +700,7 @@ func (r *Runner) step(ctx *Ctx, cm *clientResult, idx, seq int, record bool, arr
 	s := r.Spec
 	var late time.Duration
 	if !arrival.IsZero() {
-		//ocblint:allow determinism -- harness timing, not op logic
-		late = time.Since(arrival)
+		late = r.clock.Now().Sub(arrival)
 		if late < 0 {
 			late = 0
 		}
@@ -707,11 +732,9 @@ func (r *Runner) step(ctx *Ctx, cm *clientResult, idx, seq int, record bool, arr
 		}
 	}
 	ioBefore := s.Backend.DiskStats().TransactionIOs()
-	//ocblint:allow determinism -- harness timing, not op logic
-	t0 := time.Now()
+	t0 := r.clock.Now()
 	objects, err := op.Run(ctx)
-	//ocblint:allow determinism -- harness timing, not op logic
-	d := time.Since(t0) + late
+	d := r.clock.Now().Sub(t0) + late
 	ios := s.Backend.DiskStats().TransactionIOs() - ioBefore
 	if s.Lock != nil {
 		if op.Mutating {

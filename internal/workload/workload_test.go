@@ -126,12 +126,16 @@ func TestMultiClientFanOut(t *testing.T) {
 	be := testBackend(t, 20)
 	var maxSeen int32
 	var cur int32
+	// On the virtual clock a sleep ends only once every client sleeps, so
+	// all four pauses overlap by construction.
+	clk := newVirtualClock(4)
 	spec := &Spec{
 		Name:     "fan",
 		Backend:  be,
 		Clients:  4,
 		Measured: 50,
-		Ops: []Op{{Name: "pause", Weight: 1, Run: func(*Ctx) (int, error) {
+		Clock:    clk,
+		Ops: []Op{leaveAfter(clk, 4, 50, Op{Name: "pause", Weight: 1, Run: func(*Ctx) (int, error) {
 			n := atomic.AddInt32(&cur, 1)
 			for {
 				m := atomic.LoadInt32(&maxSeen)
@@ -139,10 +143,10 @@ func TestMultiClientFanOut(t *testing.T) {
 					break
 				}
 			}
-			time.Sleep(50 * time.Microsecond)
+			clk.Sleep(50 * time.Microsecond)
 			atomic.AddInt32(&cur, -1)
 			return 1, nil
-		}}},
+		}})},
 	}
 	res, err := Run(spec)
 	if err != nil {
@@ -151,8 +155,8 @@ func TestMultiClientFanOut(t *testing.T) {
 	if res.Executed != 4*50 {
 		t.Fatalf("executed = %d, want 200", res.Executed)
 	}
-	if atomic.LoadInt32(&maxSeen) < 2 {
-		t.Fatalf("clients never overlapped (max concurrent = %d)", maxSeen)
+	if atomic.LoadInt32(&maxSeen) != 4 {
+		t.Fatalf("clients did not all overlap (max concurrent = %d, want 4)", maxSeen)
 	}
 }
 
@@ -292,7 +296,8 @@ func TestWarmupExcludedFromPhaseClock(t *testing.T) {
 		// Every op sleeps 2ms. Each client runs 5 warmup + 5 measured ops
 		// (clients sleep in parallel), so a phase duration near 10ms means
 		// the warmup sleeps were excluded from the clock; near 20ms means
-		// they leaked in.
+		// they leaked in. On the virtual clock it is exactly 10ms.
+		clk := newVirtualClock(clients)
 		res, err := Run(&Spec{
 			Name:     "warmclock",
 			Backend:  be,
@@ -300,10 +305,11 @@ func TestWarmupExcludedFromPhaseClock(t *testing.T) {
 			Warmup:   5,
 			Measured: 5,
 			Seed:     11,
-			Ops: []Op{{Name: "op", Weight: 1, Run: func(ctx *Ctx) (int, error) {
-				time.Sleep(2 * time.Millisecond)
+			Clock:    clk,
+			Ops: []Op{leaveAfter(clk, clients, 10, Op{Name: "op", Weight: 1, Run: func(ctx *Ctx) (int, error) {
+				clk.Sleep(2 * time.Millisecond)
 				return 1, nil
-			}}},
+			}})},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -318,18 +324,21 @@ func TestWarmupExcludedFromPhaseClock(t *testing.T) {
 		if res.Duration < 8*time.Millisecond {
 			t.Fatalf("clients=%d: phase duration %v too short; measured ops not timed", clients, res.Duration)
 		}
+		if res.Duration != 10*time.Millisecond {
+			t.Fatalf("clients=%d: phase duration %v, want exactly 10ms", clients, res.Duration)
+		}
 	}
 }
 
 func TestOpenLoopPacingCatchesUp(t *testing.T) {
 	be := testBackend(t, 10)
-	start := time.Now()
 	res, err := Run(&Spec{
 		Name:     "openloop",
 		Backend:  be,
 		Measured: 10,
 		Think:    time.Millisecond,
 		OpenLoop: true,
+		Clock:    newVirtualClock(1),
 		Ops:      []Op{accessOp("x", be, 10, 1, 0)},
 	})
 	if err != nil {
@@ -338,9 +347,9 @@ func TestOpenLoopPacingCatchesUp(t *testing.T) {
 	if res.Executed != 10 {
 		t.Fatalf("executed = %d", res.Executed)
 	}
-	// Ten 1ms arrival slots: the run takes at least ~9ms of schedule.
-	if elapsed := time.Since(start); elapsed < 5*time.Millisecond {
-		t.Fatalf("open loop finished in %v; pacing not applied", elapsed)
+	// Ten 1ms arrival slots: the last op arrives 9ms after the first.
+	if res.Duration != 9*time.Millisecond {
+		t.Fatalf("open loop took %v, want exactly 9ms of schedule", res.Duration)
 	}
 }
 
