@@ -48,7 +48,11 @@ func (s *Store) compactor() {
 		case <-s.quitCh:
 			return
 		case <-t.C:
-			_, _ = s.CompactNow()
+			reclaimed, _ := s.CompactNow()
+			select {
+			case s.compactPass <- reclaimed:
+			default:
+			}
 		}
 	}
 }

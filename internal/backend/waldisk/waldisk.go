@@ -64,9 +64,12 @@
 package waldisk
 
 import (
+	"cmp"
 	"fmt"
+	"math/bits"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -380,6 +383,10 @@ type Store struct {
 	compactMu    sync.Mutex
 	compactRatio float64 // <= 0: compaction off
 	compactEvery time.Duration
+	// compactPass hands each background pass's outcome (reclaimed or
+	// not) to a receiver already waiting for it; passes nobody waits for
+	// are dropped. Tests wait on it instead of polling a wall clock.
+	compactPass chan bool
 
 	reads           [2]atomic.Uint64 // indexed by disk.IOClass
 	writes          [2]atomic.Uint64
@@ -388,20 +395,24 @@ type Store struct {
 
 	recovery RecoveryInfo
 
-	bufPool  sync.Pool // *[readBufSize]byte for Access preads
-	refPool  sync.Pool // *[]faultRef scratch for AccessBatch
-	spanPool sync.Pool // *[]byte span buffers for coalesced batch reads
+	bufPool   sync.Pool // *[readBufSize]byte for Access preads
+	batchPool sync.Pool // *batchScratch for AccessBatch
 }
 
-// Coalesced batch reads. Records committed together sit next to each
-// other in the log, and the traversals read them back together — the
-// clustering a log-structured file gives away for free. AccessBatch
-// therefore merges physically adjacent record faults (ascending, within
-// a page-sized gap, same segment) into one bounded pread instead of one
-// syscall per record. Only the physical read is shared: every record in
-// the span is still CRC-verified and charged its own read I/O in batch
-// order, so the counters — the benchmark's metric — stay exactly those
-// of the equivalent Access sequence (the conformance suite pins this).
+// Coalesced batch reads in file order. AccessBatch resolves its misses in
+// batch order — cache probes, installs and evictions happen exactly as
+// the equivalent Access sequence would make them — and then reads them in
+// elevator order: the misses are sorted by (segment, offset) and
+// neighbours are merged into bounded preads that read through small dead
+// gaps. A traversal visits objects in graph order, but their records
+// cluster in a few segments, so a batch's misses cost a handful of
+// syscalls instead of one each. Only the physical read is shared: every
+// record in a span is still CRC-verified and charged its own read I/O.
+// When reads or checks fail, the failure point is the lowest batch index
+// that failed: exactly the misses before it are charged, the cache
+// installs from it on are retired, and the returned prefix and error are
+// those of the one-at-a-time sequence (the conformance suite and the
+// order tests pin this).
 const (
 	// spanReadSize bounds one coalesced pread.
 	spanReadSize = 64 << 10
@@ -410,6 +421,10 @@ const (
 	// drag in anyway.
 	spanGap = int64(disk.DefaultPageSize)
 )
+
+// preadSpan is the physical read under every coalesced span; tests wrap
+// it to count syscalls.
+var preadSpan = (*os.File).ReadAt
 
 // faultRef is one committed object's record location, resolved from the
 // batch's snapshot so AccessBatch can perform its preads outside every
@@ -423,6 +438,14 @@ type faultRef struct {
 	rlen   int32
 	seg    uint32
 	cached bool
+}
+
+// batchScratch is one AccessBatch's pooled working set.
+type batchScratch struct {
+	refs   []faultRef // the misses, in batch order
+	sorted []faultRef // the same misses, in file order
+	keys   []uint64   // packed sort keys
+	span   []byte     // coalesced read buffer, spanReadSize bytes
 }
 
 // Open opens (or creates) a store over a data directory, replaying the
@@ -483,9 +506,9 @@ func Open(c Config) (*Store, error) {
 		next:         1,
 		reqCh:        make(chan chan error, 128),
 		quitCh:       make(chan struct{}),
+		compactPass:  make(chan bool),
 		bufPool:      sync.Pool{New: func() any { return new([readBufSize]byte) }},
-		refPool:      sync.Pool{New: func() any { r := make([]faultRef, 0, 64); return &r }},
-		spanPool:     sync.Pool{New: func() any { b := make([]byte, spanReadSize); return &b }},
+		batchPool:    sync.Pool{New: func() any { return &batchScratch{span: make([]byte, spanReadSize)} }},
 	}
 	if cachePages > 0 {
 		cache, err := buffer.NewObjectCache(int64(cachePages)*int64(pageSize), shards)
@@ -690,18 +713,18 @@ func (s *Store) cacheInstall(oid backend.OID, e entry, snap *snapshot) {
 // dead OID truncates the batch at the completed prefix. The walk
 // resolves every committed object against one snapshot (taking mu only
 // when a pending overlay exists) with cache installs issued in sequence
-// order, and the real preads happen outside all locks — a long scan
-// chunk must not stall concurrent mutators for the duration of its disk
-// I/O. The read gate keeps the snapshot's segment files open until the
-// preads finish.
+// order, and the real preads happen outside all locks, in file order
+// (see spanReadSize) — a long scan chunk must not stall concurrent
+// mutators for the duration of its disk I/O. The read gate keeps the
+// snapshot's segment files open until the preads finish.
 //
 //ocblint:allocfree -- steady-state hot path
 func (s *Store) AccessBatch(oids []backend.OID) (int, error) {
 	if len(oids) == 0 {
 		return 0, nil
 	}
-	rp := s.refPool.Get().(*[]faultRef)
-	refs := (*rp)[:0]
+	sc := s.batchPool.Get().(*batchScratch)
+	refs := sc.refs[:0]
 	prefix := len(oids) // objects preceding the first dead OID
 	var dead backend.OID
 	ge := s.gate.enter()
@@ -747,75 +770,135 @@ func (s *Store) AccessBatch(oids []backend.OID) (int, error) {
 	if overlay {
 		s.mu.RUnlock()
 	}
-	bp := s.spanPool.Get().(*[]byte)
-	span := *bp
-	cls := s.classIdx()
-	for i := 0; i < len(refs); {
-		// Grow the span while the next record sits ahead of the previous
-		// one in the same segment, within a page-width gap and the span
-		// buffer. Refs are in batch order, so spans are too — failure
-		// semantics stay those of the one-record-at-a-time sequence.
-		start := refs[i].off
-		end := start + int64(refs[i].rlen)
+	sc.refs = refs
+	// Physical phase: elevator order.
+	sorted := sc.sortRefs()
+	span := sc.span
+	failAt := prefix  // lowest batch index whose read or CRC check failed
+	var failErr error // its read error, unless its record was corrupt
+	var corrupt bool
+	var failOff int64
+	for i := 0; i < len(sorted); {
+		// Grow the span over the next records of the same segment while
+		// each starts within a page-width gap and the whole fits the span
+		// buffer. Duplicates (the cache is off) share their bytes.
+		start := sorted[i].off
+		end := start + int64(sorted[i].rlen)
 		j := i + 1
-		for j < len(refs) &&
-			refs[j].seg == refs[i].seg &&
-			refs[j].off >= end && refs[j].off-end <= spanGap &&
-			refs[j].off+int64(refs[j].rlen)-start <= int64(len(span)) {
-			end = refs[j].off + int64(refs[j].rlen)
-			j++
-		}
-		b := span[:end-start]
-		if _, err := refs[i].f.ReadAt(b, start); err != nil {
-			return s.batchFail(refs, i, ge, rp, bp),
-				fmt.Errorf("waldisk: faulting object %d: %w", refs[i].oid, err)
-		}
-		for ri := i; ri < j; ri++ {
-			r := &refs[ri]
-			rb := b[r.off-start : r.off-start+int64(r.rlen)]
-			if !validRecordFor(rb, r.oid) {
-				return s.batchFail(refs, ri, ge, rp, bp),
-					fmt.Errorf("waldisk: object %d: corrupt log record at offset %d", r.oid, r.off)
+		for ; j < len(sorted) && sorted[j].seg == sorted[i].seg && sorted[j].off-end <= spanGap; j++ {
+			e := max(end, sorted[j].off+int64(sorted[j].rlen))
+			if e-start > int64(len(span)) {
+				break
 			}
-			s.reads[cls].Add(1)
+			end = e
+		}
+		n, err := preadSpan(sorted[i].f, span[:end-start], start)
+		for ri := i; ri < j; ri++ {
+			r := &sorted[ri]
+			if int(r.idx) >= failAt {
+				continue
+			}
+			lo := r.off - start
+			hi := lo + int64(r.rlen)
+			if hi > int64(n) {
+				failAt, failErr, corrupt = int(r.idx), err, false
+			} else if !validRecordFor(span[lo:hi], r.oid) {
+				failAt, failOff, corrupt = int(r.idx), r.off, true
+			}
 		}
 		i = j
 	}
-	s.spanPool.Put(bp)
 	s.gate.exit(ge)
+	if failAt < prefix {
+		s.batchFail(refs, failAt)
+	} else {
+		s.reads[s.classIdx()].Add(uint64(len(refs)))
+		s.objectsAccessed.Add(uint64(prefix))
+	}
 	if s.cache != nil {
 		s.revalidateRefs(snap, refs)
 	}
-	*rp = refs[:0]
-	s.refPool.Put(rp)
-	s.objectsAccessed.Add(uint64(prefix))
+	s.batchPool.Put(sc)
+	if failAt < prefix {
+		if corrupt {
+			return failAt, fmt.Errorf("waldisk: object %d: corrupt log record at offset %d", oids[failAt], failOff)
+		}
+		return failAt, fmt.Errorf("waldisk: faulting object %d: %w", oids[failAt], failErr)
+	}
 	if prefix < len(oids) {
 		return prefix, fmt.Errorf("%w: %d", backend.ErrNoSuchObject, dead)
 	}
 	return prefix, nil
 }
 
-// batchFail unwinds a failed AccessBatch at ref index ri: the failing
-// read and everything after it never happened in the equivalent Access
-// sequence (staged objects between the faults are free and cannot fail),
-// so their optimistic cache installs are dropped and the counters stop
-// exactly at the failing record. It returns the completed prefix length;
-// callers pair it with the error in the return statement itself.
-func (s *Store) batchFail(refs []faultRef, ri int, ge uint32, rp *[]faultRef, bp *[]byte) int {
+// sortRefs returns the batch's misses in file order: by segment, then
+// offset, then batch position. Each ref's segment, offset and position
+// are packed into one uint64 key so the keys sort natively, several
+// times faster than a comparator over the refs; a batch whose ranges
+// need more than 64 bits falls back to the comparator.
+//
+//ocblint:allocfree -- AccessBatch's sort
+func (sc *batchScratch) sortRefs() []faultRef {
+	refs := sc.refs
+	if len(refs) == 0 {
+		return refs
+	}
+	minSeg, maxSeg, maxOff := refs[0].seg, refs[0].seg, refs[0].off
+	for i := range refs {
+		minSeg, maxSeg, maxOff = min(minSeg, refs[i].seg), max(maxSeg, refs[i].seg), max(maxOff, refs[i].off)
+	}
+	ib := bits.Len(uint(len(refs) - 1))
+	ob := bits.Len64(uint64(maxOff))
+	if bits.Len32(maxSeg-minSeg)+ob+ib > 64 {
+		sc.sorted = append(sc.sorted[:0], refs...)
+		slices.SortFunc(sc.sorted, fileOrder)
+		return sc.sorted
+	}
+	keys := sc.keys[:0]
+	for i := range refs {
+		keys = append(keys, uint64(refs[i].seg-minSeg)<<(ob+ib)|uint64(refs[i].off)<<ib|uint64(i))
+	}
+	slices.Sort(keys)
+	mask := uint64(1)<<ib - 1
+	sorted := sc.sorted[:0]
+	for _, k := range keys {
+		sorted = append(sorted, refs[k&mask])
+	}
+	sc.keys, sc.sorted = keys, sorted
+	return sorted
+}
+
+// fileOrder is sortRefs' fallback comparator.
+func fileOrder(a, b faultRef) int {
+	if c := cmp.Compare(a.seg, b.seg); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.off, b.off); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.idx, b.idx)
+}
+
+// batchFail settles the counters of an AccessBatch whose lowest failing
+// batch index is at: that read and everything after it never happened in
+// the equivalent Access sequence (staged objects between the faults are
+// free and cannot fail), so exactly the misses before it are charged,
+// the optimistic cache installs from it on are dropped, and the
+// accessed-object counter stops at the failure. refs are in batch order.
+func (s *Store) batchFail(refs []faultRef, at int) {
+	k := 0
+	for k < len(refs) && int(refs[k].idx) < at {
+		k++
+	}
+	s.reads[s.classIdx()].Add(uint64(k))
 	if s.cache != nil {
-		for _, rr := range refs[ri:] {
-			if rr.cached {
-				s.cache.Invalidate(uint64(rr.oid))
+		for _, r := range refs[k:] {
+			if r.cached {
+				s.cache.Invalidate(uint64(r.oid))
 			}
 		}
 	}
-	s.spanPool.Put(bp)
-	s.gate.exit(ge)
-	idx := int(refs[ri].idx)
-	s.objectsAccessed.Add(uint64(idx))
-	*rp = refs[:0]
-	s.refPool.Put(rp)
-	return idx
+	s.objectsAccessed.Add(uint64(at))
 }
 
 // revalidateRefs retires optimistic cache installs whose object moved

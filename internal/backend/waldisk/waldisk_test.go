@@ -529,6 +529,37 @@ func BenchmarkWaldiskAccess(b *testing.B) {
 	backendtest.BenchmarkAccess(b, s, 10000)
 }
 
+// BenchmarkWaldiskAccessBatch sizes the batched fault path: a shuffled
+// 512-object AccessBatch over a 10,000-object log with the read cache
+// off, so every object is a CRC-verified miss read through the file-order
+// spans. Reported per object (ns/oid) to set beside
+// BenchmarkWaldiskAccess.
+func BenchmarkWaldiskAccessBatch(b *testing.B) {
+	s, err := waldisk.Open(waldisk.Config{Dir: b.TempDir(), CachePages: -1, CompactRatio: -1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer s.Close()
+	oids := make([]backend.OID, 10000)
+	for i := range oids {
+		if oids[i], err = s.Create(100); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := s.Commit(); err != nil {
+		b.Fatal(err)
+	}
+	batch := shuffled(oids, 1)[:512]
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if k, err := s.AccessBatch(batch); err != nil || k != len(batch) {
+			b.Fatalf("AccessBatch = %d, %v", k, err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(batch)), "ns/oid")
+}
+
 // BenchmarkWaldiskCommit sizes one update+commit round trip under each
 // fsync policy — the numbers behind the pr5_waldisk baseline entry.
 func BenchmarkWaldiskCommit(b *testing.B) {
