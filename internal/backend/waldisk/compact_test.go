@@ -9,6 +9,7 @@ package waldisk_test
 import (
 	"path/filepath"
 	"testing"
+	"time"
 
 	"ocb/internal/backend"
 	"ocb/internal/backend/waldisk"
@@ -425,8 +426,15 @@ func TestCompactBackground(t *testing.T) {
 	// The ticker owns reclamation: wait out its passes until one reclaims
 	// nothing, after which the idle store cannot change. The first pass
 	// seen may have started before the last commit, so it does not count.
-	s.NextCompactPass()
-	for s.NextCompactPass() {
+	// A compactor that stalls or never settles fails on the byte bound
+	// below: the wait gives up after maxPasses passes or half a minute
+	// without one.
+	const maxPasses = 500
+	for pass := 0; pass < maxPasses; pass++ {
+		reclaimed, ok := s.NextCompactPass(30 * time.Second)
+		if !ok || (pass > 0 && !reclaimed) {
+			break
+		}
 	}
 	if b := s.SegmentBytes(); b > 8*512 {
 		t.Fatalf("background compactor left %d bytes of segments", b)

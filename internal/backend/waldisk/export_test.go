@@ -3,6 +3,7 @@ package waldisk
 import (
 	"os"
 	"sync"
+	"time"
 
 	"ocb/internal/backend"
 )
@@ -44,6 +45,14 @@ func CountBatchPreads() (counts func() map[string]int, restore func()) {
 	return counts, func() { preadSpan = (*os.File).ReadAt }
 }
 
-// NextCompactPass blocks until the background compactor finishes its next
-// pass and reports whether that pass reclaimed a segment.
-func (s *Store) NextCompactPass() bool { return <-s.compactPass }
+// NextCompactPass waits up to timeout for the background compactor to
+// finish its next pass and reports whether that pass reclaimed a segment;
+// ok is false if no pass finished in time.
+func (s *Store) NextCompactPass(timeout time.Duration) (reclaimed, ok bool) {
+	select {
+	case reclaimed = <-s.compactPass:
+		return reclaimed, true
+	case <-time.After(timeout):
+		return false, false
+	}
+}

@@ -66,7 +66,6 @@ package waldisk
 import (
 	"cmp"
 	"fmt"
-	"math/bits"
 	"os"
 	"path/filepath"
 	"slices"
@@ -442,10 +441,9 @@ type faultRef struct {
 
 // batchScratch is one AccessBatch's pooled working set.
 type batchScratch struct {
-	refs   []faultRef // the misses, in batch order
-	sorted []faultRef // the same misses, in file order
-	keys   []uint64   // packed sort keys
-	span   []byte     // coalesced read buffer, spanReadSize bytes
+	refs   []faultRef  // the misses, in batch order
+	sorted []*faultRef // the same misses, in file order
+	span   []byte      // coalesced read buffer, spanReadSize bytes
 }
 
 // Open opens (or creates) a store over a data directory, replaying the
@@ -770,9 +768,13 @@ func (s *Store) AccessBatch(oids []backend.OID) (int, error) {
 	if overlay {
 		s.mu.RUnlock()
 	}
-	sc.refs = refs
 	// Physical phase: elevator order.
-	sorted := sc.sortRefs()
+	sorted := sc.sorted[:0]
+	for i := range refs {
+		sorted = append(sorted, &refs[i])
+	}
+	slices.SortFunc(sorted, fileOrder)
+	sc.refs, sc.sorted = refs, sorted
 	span := sc.span
 	failAt := prefix  // lowest batch index whose read or CRC check failed
 	var failErr error // its read error, unless its record was corrupt
@@ -794,7 +796,7 @@ func (s *Store) AccessBatch(oids []backend.OID) (int, error) {
 		}
 		n, err := preadSpan(sorted[i].f, span[:end-start], start)
 		for ri := i; ri < j; ri++ {
-			r := &sorted[ri]
+			r := sorted[ri]
 			if int(r.idx) >= failAt {
 				continue
 			}
@@ -831,45 +833,11 @@ func (s *Store) AccessBatch(oids []backend.OID) (int, error) {
 	return prefix, nil
 }
 
-// sortRefs returns the batch's misses in file order: by segment, then
-// offset, then batch position. Each ref's segment, offset and position
-// are packed into one uint64 key so the keys sort natively, several
-// times faster than a comparator over the refs; a batch whose ranges
-// need more than 64 bits falls back to the comparator.
+// fileOrder orders AccessBatch's misses for reading: by segment, then
+// offset, then batch position, so duplicates keep batch order.
 //
 //ocblint:allocfree -- AccessBatch's sort
-func (sc *batchScratch) sortRefs() []faultRef {
-	refs := sc.refs
-	if len(refs) == 0 {
-		return refs
-	}
-	minSeg, maxSeg, maxOff := refs[0].seg, refs[0].seg, refs[0].off
-	for i := range refs {
-		minSeg, maxSeg, maxOff = min(minSeg, refs[i].seg), max(maxSeg, refs[i].seg), max(maxOff, refs[i].off)
-	}
-	ib := bits.Len(uint(len(refs) - 1))
-	ob := bits.Len64(uint64(maxOff))
-	if bits.Len32(maxSeg-minSeg)+ob+ib > 64 {
-		sc.sorted = append(sc.sorted[:0], refs...)
-		slices.SortFunc(sc.sorted, fileOrder)
-		return sc.sorted
-	}
-	keys := sc.keys[:0]
-	for i := range refs {
-		keys = append(keys, uint64(refs[i].seg-minSeg)<<(ob+ib)|uint64(refs[i].off)<<ib|uint64(i))
-	}
-	slices.Sort(keys)
-	mask := uint64(1)<<ib - 1
-	sorted := sc.sorted[:0]
-	for _, k := range keys {
-		sorted = append(sorted, refs[k&mask])
-	}
-	sc.keys, sc.sorted = keys, sorted
-	return sorted
-}
-
-// fileOrder is sortRefs' fallback comparator.
-func fileOrder(a, b faultRef) int {
+func fileOrder(a, b *faultRef) int {
 	if c := cmp.Compare(a.seg, b.seg); c != 0 {
 		return c
 	}
