@@ -315,6 +315,36 @@ func TestBatchPreadsCoalesce(t *testing.T) {
 	}
 }
 
+// TestBatchPreadsHoldNoCacheShard checks the lock discipline of the
+// bracketed first pass: every read-cache shard is released before the
+// first pread, with and without a pending overlay (the store mutex path).
+func TestBatchPreadsHoldNoCacheShard(t *testing.T) {
+	s, oids := batchStore(t, nil)
+	var preads, held int
+	restore := waldisk.CheckBatchPreads(func() {
+		preads++
+		if !s.CacheShardsFree() {
+			held++
+		}
+	})
+	defer restore()
+	for _, staged := range []bool{false, true} {
+		if staged {
+			if err := s.Update(oids[1]); err != nil { // pending until Commit
+				t.Fatal(err)
+			}
+		}
+		s.DropCache()
+		batch := shuffled(oids, 9)
+		if k, err := s.AccessBatch(batch); err != nil || k != len(batch) {
+			t.Fatalf("AccessBatch = %d, %v", k, err)
+		}
+	}
+	if preads == 0 || held != 0 {
+		t.Fatalf("%d of %d batch preads ran with a cache shard held", held, preads)
+	}
+}
+
 // TestBatchMissAllocFree pins a cold, shuffled 512-object AccessBatch at
 // zero allocations: with the cache off every object is a miss, so this is
 // the sort, span and CRC path on every run.

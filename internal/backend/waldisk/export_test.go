@@ -45,6 +45,23 @@ func CountBatchPreads() (counts func() map[string]int, restore func()) {
 	return counts, func() { preadSpan = (*os.File).ReadAt }
 }
 
+// CheckBatchPreads calls check before each of AccessBatch's physical span
+// reads; restore puts the plain read back. Tests using it must not run in
+// parallel.
+func CheckBatchPreads(check func()) (restore func()) {
+	preadSpan = func(f *os.File, b []byte, off int64) (int, error) {
+		check()
+		return f.ReadAt(b, off)
+	}
+	return func() { preadSpan = (*os.File).ReadAt }
+}
+
+// CacheShardsFree reports whether every read-cache shard lock can be
+// taken at this instant (TryLock on each); true with the cache off.
+func (s *Store) CacheShardsFree() bool {
+	return s.cache == nil || s.cache.ShardsFree()
+}
+
 // NextCompactPass waits up to timeout for the background compactor to
 // finish its next pass and reports whether that pass reclaimed a segment;
 // ok is false if no pass finished in time.

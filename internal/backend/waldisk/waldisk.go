@@ -400,12 +400,13 @@ type Store struct {
 
 // Coalesced batch reads in file order. AccessBatch resolves its misses in
 // batch order — cache probes, installs and evictions happen exactly as
-// the equivalent Access sequence would make them — and then reads them in
-// elevator order: the misses are sorted by (segment, offset) and
-// neighbours are merged into bounded preads that read through small dead
-// gaps. A traversal visits objects in graph order, but their records
-// cluster in a few segments, so a batch's misses cost a handful of
-// syscalls instead of one each. Only the physical read is shared: every
+// the equivalent Access sequence would make them, under one bracket that
+// holds each cache shard once (see AccessBatch) — and then, with every
+// lock released, reads them in elevator order: the misses are sorted by
+// (segment, offset) and neighbours are merged into bounded preads that
+// read through small dead gaps. A traversal visits objects in graph
+// order, but their records cluster in a few segments, so a batch's misses
+// cost a handful of syscalls instead of one each. Only the physical read is shared: every
 // record in a span is still CRC-verified and charged its own read I/O.
 // When reads or checks fail, the failure point is the lowest batch index
 // that failed: exactly the misses before it are charged, the cache
@@ -444,6 +445,9 @@ type batchScratch struct {
 	refs   []faultRef  // the misses, in batch order
 	sorted []*faultRef // the same misses, in file order
 	span   []byte      // coalesced read buffer, spanReadSize bytes
+	// bracket holds the read cache's shards over the batch-order pass
+	// (nil when the cache is off).
+	bracket *buffer.CacheBracket
 }
 
 // Open opens (or creates) a store over a data directory, replaying the
@@ -506,7 +510,6 @@ func Open(c Config) (*Store, error) {
 		quitCh:       make(chan struct{}),
 		compactPass:  make(chan bool),
 		bufPool:      sync.Pool{New: func() any { return new([readBufSize]byte) }},
-		batchPool:    sync.Pool{New: func() any { return &batchScratch{span: make([]byte, spanReadSize)} }},
 	}
 	if cachePages > 0 {
 		cache, err := buffer.NewObjectCache(int64(cachePages)*int64(pageSize), shards)
@@ -514,6 +517,13 @@ func Open(c Config) (*Store, error) {
 			return nil, fmt.Errorf("waldisk: sizing read cache: %w", err)
 		}
 		s.cache = cache
+	}
+	s.batchPool.New = func() any {
+		sc := &batchScratch{span: make([]byte, spanReadSize)}
+		if s.cache != nil {
+			sc.bracket = s.cache.NewBracket()
+		}
+		return sc
 	}
 	if err := s.openSegments(); err != nil {
 		s.closeSegs()
@@ -708,13 +718,18 @@ func (s *Store) cacheInstall(oid backend.OID, e entry, snap *snapshot) {
 
 // AccessBatch implements backend.Backend: exactly the reads, counters
 // and cache transitions the equivalent Access sequence would produce; a
-// dead OID truncates the batch at the completed prefix. The walk
-// resolves every committed object against one snapshot (taking mu only
-// when a pending overlay exists) with cache installs issued in sequence
-// order, and the real preads happen outside all locks, in file order
-// (see spanReadSize) — a long scan chunk must not stall concurrent
-// mutators for the duration of its disk I/O. The read gate keeps the
-// snapshot's segment files open until the preads finish.
+// dead OID truncates the batch at the completed prefix. The first pass
+// walks the batch in order — pending overlay, cache probe, snapshot
+// resolve on a miss only, optimistic cache install — under a
+// buffer.CacheBracket: the cache shards the batch maps to are taken once
+// each, in ascending order, nested inside mu when a pending overlay
+// exists (lock order: mu, then cache shards), instead of two shard lock
+// round trips per object. Resolving only on a miss keeps all-hit batches
+// off the snapshot's delta chain. The real preads happen after the
+// bracket and mu are released, in file order (see spanReadSize) — a long
+// scan chunk must not stall concurrent mutators or cache users for the
+// duration of its disk I/O. The read gate keeps the snapshot's segment
+// files open until the preads finish.
 //
 //ocblint:allocfree -- steady-state hot path
 func (s *Store) AccessBatch(oids []backend.OID) (int, error) {
@@ -731,6 +746,13 @@ func (s *Store) AccessBatch(oids []backend.OID) (int, error) {
 	if overlay {
 		s.mu.RLock()
 	}
+	cb := sc.bracket
+	if cb != nil {
+		for _, oid := range oids {
+			cb.Mark(uint64(oid))
+		}
+		cb.Lock()
+	}
 	for i, oid := range oids {
 		var st uint8
 		if overlay {
@@ -745,7 +767,7 @@ func (s *Store) AccessBatch(oids []backend.OID) (int, error) {
 		if st == pendCreated {
 			continue // staged in memory; free
 		}
-		if st == 0 && s.cache != nil && s.cache.Probe(uint64(oid)) {
+		if st == 0 && cb != nil && cb.Probe(uint64(oid)) {
 			continue // resident; the pread is saved
 		}
 		e, ok := snap.resolve(oid)
@@ -757,13 +779,16 @@ func (s *Store) AccessBatch(oids []backend.OID) (int, error) {
 			break
 		}
 		cached := false
-		if st == 0 && s.cache != nil {
+		if st == 0 && cb != nil {
 			// Install optimistically, in the same order the Access sequence
 			// would; a failed pread or a concurrent move retires it below.
-			s.cache.Add(uint64(oid), e.size)
+			cb.Add(uint64(oid), e.size)
 			cached = true
 		}
 		refs = append(refs, faultRef{f: snap.segs[e.seg-1], off: e.off, oid: oid, idx: int32(i), rlen: e.rlen, seg: e.seg, cached: cached})
+	}
+	if cb != nil {
+		cb.Unlock()
 	}
 	if overlay {
 		s.mu.RUnlock()

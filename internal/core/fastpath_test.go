@@ -309,8 +309,8 @@ func TestLiveSnapshotMaintenance(t *testing.T) {
 		}
 	}
 
-	// ResolveLive rides the snapshot: dead OID resolves upward, the top
-	// wraps to the first live OID.
+	// ResolveLive agrees with the snapshot: a dead OID resolves upward,
+	// the top wraps to the first live OID.
 	if got, ok := db.ResolveLive(5); !ok || got != 6 {
 		t.Fatalf("ResolveLive(5) = %d, %v; want 6", got, ok)
 	}

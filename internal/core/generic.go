@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"ocb/internal/backend"
 	"ocb/internal/lewis"
@@ -43,9 +42,9 @@ func (db *Database) NumLive() int { return len(db.live) }
 // slice is a shared snapshot maintained incrementally across insertions and
 // rebuilt lazily after deletions: callers must treat it as read-only, and
 // it is only guaranteed current until the next structural mutation. Scan
-// transactions and ResolveLive ride this snapshot so they no longer rebuild
-// an O(n) slice per call; callers that want to reorder the result should
-// use AllOIDs instead.
+// transactions ride this snapshot so they no longer rebuild an O(n) slice
+// per call; callers that want to reorder the result should use AllOIDs
+// instead.
 func (db *Database) LiveOIDs() []backend.OID {
 	if db.liveSnapOK.Load() {
 		return db.liveSnap
@@ -68,19 +67,27 @@ func (db *Database) LiveOIDs() []backend.OID {
 }
 
 // ResolveLive maps an arbitrary OID onto a live object: itself when live,
-// otherwise the next live OID upward (wrapping). It lets transaction roots
-// drawn from the static [1, NO] interval stay valid under deletion. The
-// lookup binary-searches the ascending live snapshot.
+// otherwise the next live OID upward (wrapping past the highest OID to
+// the lowest). It lets transaction roots drawn from the static [1, NO]
+// interval stay valid under deletion. The lookup walks Objects from oid
+// upward, one step per dead slot it passes, and allocates nothing; a
+// search of the ascending live snapshot would have to rebuild that
+// snapshot after every deletion.
+//
+//ocblint:allocfree -- steady-state hot path
 func (db *Database) ResolveLive(oid backend.OID) (backend.OID, bool) {
-	live := db.LiveOIDs()
-	if len(live) == 0 {
-		return backend.NilOID, false
+	n := uint64(len(db.Objects))
+	i := uint64(oid)
+	for k := uint64(1); k < n; k++ { // visits each slot 1..n-1 once
+		if i < 1 || i >= n {
+			i = 1 // wrap past the highest OID
+		}
+		if o := db.Objects[i]; o != nil {
+			return o.OID, true
+		}
+		i++
 	}
-	i := sort.Search(len(live), func(i int) bool { return live[i] >= oid })
-	if i == len(live) {
-		i = 0 // wrap past the highest live OID
-	}
-	return live[i], true
+	return backend.NilOID, false
 }
 
 // trackInsert registers a new live object. Callers hold the database's

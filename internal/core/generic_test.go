@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math/rand/v2"
+	"sort"
 	"testing"
 
 	"ocb/internal/backend"
@@ -123,6 +125,56 @@ func TestResolveLive(t *testing.T) {
 	// Out-of-range input still resolves somewhere live.
 	if got, ok := db.ResolveLive(backend.OID(p.NO + 500)); !ok || db.Object(got) == nil {
 		t.Fatalf("out-of-range resolved to %d, %v", got, ok)
+	}
+
+	// Randomized churn against the definition: the first live OID at or
+	// above the input, wrapping to the lowest live OID, as a binary search
+	// of the ascending live snapshot finds it. Each round deletes the
+	// roots at 1 and NO among others (so dead runs sit at both ends and
+	// the walk must wrap) and inserts a few objects past the old top.
+	for seed := uint64(1); seed <= 4; seed++ {
+		db := MustGenerate(p)
+		rng := rand.New(rand.NewPCG(seed, 0))
+		src := lewis.New(int64(seed))
+		for round := 0; round < 6; round++ {
+			victims := []backend.OID{1, backend.OID(p.NO)}
+			for k := 0; k < 40; k++ {
+				victims = append(victims, backend.OID(1+rng.IntN(len(db.Objects)-1)))
+			}
+			top := backend.OID(len(db.Objects) - 1)
+			for k := 0; k < 10 && top > 1; k++ {
+				victims = append(victims, top)
+				top--
+			}
+			for _, v := range victims {
+				if db.Object(v) != nil {
+					if err := db.DeleteObject(v); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			for k := 0; k < round%3; k++ {
+				if _, err := db.InsertObject(src); err != nil {
+					t.Fatal(err)
+				}
+			}
+			live := db.LiveOIDs()
+			for oid := backend.OID(0); oid <= backend.OID(len(db.Objects)+2); oid++ {
+				i := sort.Search(len(live), func(i int) bool { return live[i] >= oid })
+				if i == len(live) {
+					i = 0
+				}
+				got, ok := db.ResolveLive(oid)
+				if !ok || got != live[i] {
+					t.Fatalf("seed %d round %d: ResolveLive(%d) = %d, %v; want %d", seed, round, oid, got, ok, live[i])
+				}
+			}
+		}
+		if allocs := testing.AllocsPerRun(100, func() {
+			db.ResolveLive(backend.OID(len(db.Objects) - 1))
+		}); allocs != 0 {
+			t.Fatalf("ResolveLive allocates %v per call", allocs)
+		}
 	}
 }
 
