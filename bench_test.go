@@ -431,8 +431,8 @@ func BenchmarkWarmTraversalPhase(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if m.Transactions != warmPhaseTx {
-			b.Fatalf("phase ran %d transactions, want %d", m.Transactions, warmPhaseTx)
+		if m.Executed != warmPhaseTx {
+			b.Fatalf("phase ran %d transactions, want %d", m.Executed, warmPhaseTx)
 		}
 	}
 	b.ReportMetric(float64(b.N)*warmPhaseTx/b.Elapsed().Seconds(), "tx/s")

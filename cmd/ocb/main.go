@@ -45,6 +45,7 @@ import (
 	"ocb/internal/lewis"
 	"ocb/internal/report"
 	"ocb/internal/scenarios"
+	"ocb/internal/workload"
 )
 
 func main() {
@@ -282,20 +283,20 @@ func run() error {
 	return nil
 }
 
-func printPhase(m *core.PhaseMetrics) {
+func printPhase(m *workload.Result) {
 	t := report.New(fmt.Sprintf("%s run — %d transactions in %s (mean %.1f I/Os per tx)",
-		m.Name, m.Transactions, report.Dur(m.Duration), m.MeanIOsPerTx()),
+		m.Name, m.Executed, report.Dur(m.Duration), m.MeanIOsPerOp()),
 		"Type", "Count", "Mean response (µs)", "P95 (µs)", "Mean objects", "Mean I/Os")
 	for typ := core.TxType(0); typ < core.NumTxTypes; typ++ {
-		tm := m.PerType[typ]
+		tm := &m.PerOp[typ]
 		if tm.Count == 0 {
 			continue
 		}
 		t.AddRow(typ.String(), report.I64(tm.Count), report.F1(tm.Response.Mean()),
 			report.F1(tm.ResponseQ.P95()), report.F1(tm.Objects.Mean()), report.F1(tm.IOs.Mean()))
 	}
-	t.AddRow("all", report.I64(m.Transactions), report.F1(m.Global.Response.Mean()),
-		report.F1(m.Global.ResponseQ.P95()), report.F1(m.Global.Objects.Mean()),
-		report.F1(m.Global.IOs.Mean()))
+	t.AddRow("all", report.I64(m.Executed), report.F1(m.Total.Response.Mean()),
+		report.F1(m.Total.ResponseQ.P95()), report.F1(m.Total.Objects.Mean()),
+		report.F1(m.Total.IOs.Mean()))
 	_ = t.Render(os.Stdout)
 }

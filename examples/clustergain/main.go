@@ -82,5 +82,5 @@ func measure(p core.Params, n int) (before, after float64, err error) {
 	if err != nil {
 		return 0, 0, err
 	}
-	return b.MeanIOsPerTx(), a.MeanIOsPerTx(), nil
+	return b.MeanIOsPerOp(), a.MeanIOsPerOp(), nil
 }

@@ -1,6 +1,6 @@
 // Multiuser demonstrates OCB's multi-client mode (CLIENTN, Section 3.1 —
 // "almost unique" among the era's benchmarks) through the scalability
-// harness: several concurrent clients share one store and buffer, and the
+// sweep: several concurrent clients share one store and buffer, and the
 // sharded store lets their transactions proceed in parallel instead of
 // serializing on a global mutex. Each client pauses for a think time
 // between transactions, as the paper's THINK parameter models interactive
@@ -15,7 +15,9 @@ import (
 	"log"
 	"time"
 
+	"ocb/internal/backend"
 	"ocb/internal/core"
+	"ocb/internal/workload"
 )
 
 func main() {
@@ -30,11 +32,25 @@ func main() {
 		log.Fatal(err)
 	}
 
-	res, err := core.RunScalability(db, core.ScalabilityOptions{
-		Clients:     []int{1, 2, 4, 8, 16},
-		TxPerClient: 50,
-		Think:       2 * time.Millisecond, // interactive clients (THINK)
-		Seed:        2024,
+	// Shard the store for the largest client count (twice it, so clients
+	// rarely meet on a shard lock), then sweep CLIENTN over the OCB phase:
+	// the same per-client transaction streams at every point, each point
+	// from a cold cache.
+	shards := 1
+	if rel, ok := db.Store.(backend.Resharder); ok {
+		if err := rel.Reshard(32); err != nil {
+			log.Fatal(err)
+		}
+		shards = rel.Shards()
+	}
+	spec := core.NewRunner(db, nil).PhaseSpec("multiuser", 50, 2024)
+	spec.Think = 2 * time.Millisecond // interactive clients (THINK)
+	pts, err := workload.Sweep(spec, workload.SweepOptions{
+		Clients: []int{1, 2, 4, 8, 16},
+		Reset: func(int, float64) error {
+			db.Store.DropCache()
+			return nil
+		},
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -42,13 +58,14 @@ func main() {
 
 	fmt.Println("clients  tx     wall      tx/s    speedup  mean I/Os  p95 µs")
 	fmt.Println("--------------------------------------------------------------")
-	for _, pt := range res.Points {
+	for _, pt := range pts {
+		r := pt.Result
 		fmt.Printf("%6d  %4d  %8s  %7.0f  %6.2fx  %9.1f  %6.0f\n",
-			pt.Clients, pt.Transactions, pt.Duration.Round(time.Millisecond),
-			pt.Throughput, pt.Speedup, pt.MeanIOsPerTx, pt.P95)
+			pt.Clients, r.Executed, r.Duration.Round(time.Millisecond),
+			r.Throughput, r.Throughput/pts[0].Result.Throughput, r.MeanIOsPerOp(), r.P95())
 	}
-	fmt.Printf("\nstore shards: %d; identical per-client transaction streams at\n", res.Shards)
+	fmt.Printf("\nstore shards: %d; identical per-client transaction streams at\n", shards)
 	fmt.Println("every point, cold cache per point. Per-transaction I/O attribution")
 	fmt.Println("is approximate with concurrent clients; phase totals stay exact")
-	fmt.Println("(see core.PhaseMetrics docs).")
+	fmt.Println("(see the workload.Result docs).")
 }

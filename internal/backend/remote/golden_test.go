@@ -7,6 +7,7 @@ import (
 	"ocb/internal/backend"
 	"ocb/internal/core"
 	"ocb/internal/wire"
+	"ocb/internal/workload"
 )
 
 // goldenParams is a CI-sized OCB configuration; both runs of the golden
@@ -82,20 +83,20 @@ func TestGoldenOCBOverRemoteMatchesInProcess(t *testing.T) {
 
 	for _, phase := range []struct {
 		name      string
-		got, want *core.PhaseMetrics
+		got, want *workload.Result
 	}{
 		{"cold", got.Cold, want.Cold},
 		{"warm", got.Warm, want.Warm},
 	} {
-		if phase.got.Transactions != phase.want.Transactions {
+		if phase.got.Executed != phase.want.Executed {
 			t.Errorf("%s: %d transactions over remote, %d in process",
-				phase.name, phase.got.Transactions, phase.want.Transactions)
+				phase.name, phase.got.Executed, phase.want.Executed)
 		}
-		if g, w := phase.got.Global.Objects, phase.want.Global.Objects; g != w {
+		if g, w := phase.got.Total.Objects, phase.want.Total.Objects; g != w {
 			t.Errorf("%s: global objects welford diverges: got %+v, want %+v", phase.name, g, w)
 		}
-		for ty := range phase.want.PerType {
-			g, w := &phase.got.PerType[ty], &phase.want.PerType[ty]
+		for ty := range phase.want.PerOp {
+			g, w := &phase.got.PerOp[ty], &phase.want.PerOp[ty]
 			if g.Count != w.Count {
 				t.Errorf("%s type %d: count %d over remote, %d in process", phase.name, ty, g.Count, w.Count)
 			}

@@ -6,6 +6,7 @@ import (
 
 	"ocb/internal/backend"
 	"ocb/internal/lewis"
+	"ocb/internal/workload"
 )
 
 // TestTraversalFastPathAllocFree is the allocation regression gate of the
@@ -148,10 +149,10 @@ type typeGold struct {
 	ioMean  string
 }
 
-func checkPhaseGold(t *testing.T, tag string, m *PhaseMetrics, g phaseGold) {
+func checkPhaseGold(t *testing.T, tag string, m *workload.Result, g phaseGold) {
 	t.Helper()
-	if m.Transactions != g.tx {
-		t.Errorf("%s: transactions = %d, want %d", tag, m.Transactions, g.tx)
+	if m.Executed != g.tx {
+		t.Errorf("%s: transactions = %d, want %d", tag, m.Executed, g.tx)
 	}
 	if r := m.DiskDelta.Reads[0]; r != g.reads {
 		t.Errorf("%s: transaction reads = %d, want %d", tag, r, g.reads)
@@ -159,11 +160,11 @@ func checkPhaseGold(t *testing.T, tag string, m *PhaseMetrics, g phaseGold) {
 	if w := m.DiskDelta.Writes[0]; w != g.writes {
 		t.Errorf("%s: transaction writes = %d, want %d", tag, w, g.writes)
 	}
-	if got := fmt.Sprintf("%.10g", m.Global.Objects.Mean()); got != g.objMean {
+	if got := fmt.Sprintf("%.10g", m.Total.Objects.Mean()); got != g.objMean {
 		t.Errorf("%s: objects mean = %s, want %s", tag, got, g.objMean)
 	}
 	for typ, want := range g.perType {
-		tm := &m.PerType[typ]
+		tm := &m.PerOp[typ]
 		if tm.Count != want.count {
 			t.Errorf("%s/%s: count = %d, want %d", tag, typ, tm.Count, want.count)
 		}
@@ -175,8 +176,8 @@ func checkPhaseGold(t *testing.T, tag string, m *PhaseMetrics, g phaseGold) {
 		}
 	}
 	for typ := TxType(0); typ < NumTxTypes; typ++ {
-		if _, pinned := g.perType[typ]; !pinned && m.PerType[typ].Count != 0 {
-			t.Errorf("%s/%s: unexpected transactions (%d)", tag, typ, m.PerType[typ].Count)
+		if _, pinned := g.perType[typ]; !pinned && m.PerOp[typ].Count != 0 {
+			t.Errorf("%s/%s: unexpected transactions (%d)", tag, typ, m.PerOp[typ].Count)
 		}
 	}
 }

@@ -240,12 +240,12 @@ func TestGenericWorkloadEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Warm.Transactions != int64(p.HotN) {
-		t.Fatalf("warm tx = %d", res.Warm.Transactions)
+	if res.Warm.Executed != int64(p.HotN) {
+		t.Fatalf("warm tx = %d", res.Warm.Executed)
 	}
 	// Every one of the nine types must have occurred across the run.
 	for typ := TxType(0); typ < NumTxTypes; typ++ {
-		if res.Cold.PerType[typ].Count+res.Warm.PerType[typ].Count == 0 {
+		if res.Cold.PerOp[typ].Count+res.Warm.PerOp[typ].Count == 0 {
 			t.Fatalf("type %v never sampled", typ)
 		}
 	}

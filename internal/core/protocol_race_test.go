@@ -5,11 +5,12 @@ import (
 	"time"
 
 	"ocb/internal/backend"
+	"ocb/internal/workload"
 )
 
 // These tests exercise the multi-client protocol under the race detector
 // (the CI race shard runs this package with -race) and pin down which
-// merged PhaseMetrics are schedule-independent: transaction counts,
+// merged phase results are schedule-independent: transaction counts,
 // per-type counts, per-transaction object counts and the phase's exact
 // disk-counter delta must be identical across repeated runs with the same
 // seed, no matter how the scheduler interleaves the clients.
@@ -28,7 +29,7 @@ func raceParams(clients int) Params {
 }
 
 // runOnce replays one phase from a cold cache with zeroed counters.
-func runOnce(t *testing.T, db *Database, txPerClient int, seed int64) *PhaseMetrics {
+func runOnce(t *testing.T, db *Database, txPerClient int, seed int64) *workload.Result {
 	t.Helper()
 	db.Store.DropCache()
 	db.Store.ResetStats()
@@ -52,28 +53,28 @@ func TestRunPhaseConcurrentScheduleIndependent(t *testing.T) {
 		m2 := runOnce(t, db, txPerClient, 777)
 		accessed2 := db.Store.Stats().ObjectsAccessed
 
-		if m1.Transactions != int64(clients*txPerClient) {
-			t.Fatalf("clients=%d: %d transactions, want %d", clients, m1.Transactions, clients*txPerClient)
+		if m1.Executed != int64(clients*txPerClient) {
+			t.Fatalf("clients=%d: %d transactions, want %d", clients, m1.Executed, clients*txPerClient)
 		}
-		if m1.Transactions != m2.Transactions {
-			t.Errorf("clients=%d: transaction counts differ: %d vs %d", clients, m1.Transactions, m2.Transactions)
+		if m1.Executed != m2.Executed {
+			t.Errorf("clients=%d: transaction counts differ: %d vs %d", clients, m1.Executed, m2.Executed)
 		}
-		for tt := range m1.PerType {
-			if m1.PerType[tt].Count != m2.PerType[tt].Count {
+		for tt := range m1.PerOp {
+			if m1.PerOp[tt].Count != m2.PerOp[tt].Count {
 				t.Errorf("clients=%d: type %v count differs: %d vs %d",
-					clients, TxType(tt), m1.PerType[tt].Count, m2.PerType[tt].Count)
+					clients, TxType(tt), m1.PerOp[tt].Count, m2.PerOp[tt].Count)
 			}
 		}
-		if m1.Global.Count != m2.Global.Count {
-			t.Errorf("clients=%d: global count differs: %d vs %d", clients, m1.Global.Count, m2.Global.Count)
+		if m1.Total.Count != m2.Total.Count {
+			t.Errorf("clients=%d: global count differs: %d vs %d", clients, m1.Total.Count, m2.Total.Count)
 		}
 		// Objects accessed per transaction are determined by the traversal
 		// streams, so the merged welford is bitwise reproducible.
-		if m1.Global.Objects.Mean() != m2.Global.Objects.Mean() ||
-			m1.Global.Objects.N() != m2.Global.Objects.N() {
+		if m1.Total.Objects.Mean() != m2.Total.Objects.Mean() ||
+			m1.Total.Objects.N() != m2.Total.Objects.N() {
 			t.Errorf("clients=%d: objects-per-tx welford differs: %v/%d vs %v/%d", clients,
-				m1.Global.Objects.Mean(), m1.Global.Objects.N(),
-				m2.Global.Objects.Mean(), m2.Global.Objects.N())
+				m1.Total.Objects.Mean(), m1.Total.Objects.N(),
+				m2.Total.Objects.Mean(), m2.Total.Objects.N())
 		}
 		if accessed1 != accessed2 {
 			t.Errorf("clients=%d: store object-access totals differ: %d vs %d", clients, accessed1, accessed2)
@@ -105,7 +106,7 @@ func TestRunPhaseConcurrentMatchesSerial(t *testing.T) {
 	}
 	conc := runOnce(t, db, txPerClient, 555)
 
-	serial := &PhaseMetrics{Name: "serial"}
+	serial := &workload.Result{Name: "serial", PerOp: make([]workload.OpMetrics, NumTxTypes)}
 	sp := raceParams(1)
 	sdb, err := Generate(sp)
 	if err != nil {
@@ -118,18 +119,18 @@ func TestRunPhaseConcurrentMatchesSerial(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		serial.Transactions += m.Transactions
-		for tt := range serial.PerType {
-			serial.PerType[tt].Count += m.PerType[tt].Count
+		serial.Executed += m.Executed
+		for tt := range serial.PerOp {
+			serial.PerOp[tt].Count += m.PerOp[tt].Count
 		}
 	}
-	if conc.Transactions != serial.Transactions {
-		t.Fatalf("concurrent %d transactions vs serial %d", conc.Transactions, serial.Transactions)
+	if conc.Executed != serial.Executed {
+		t.Fatalf("concurrent %d transactions vs serial %d", conc.Executed, serial.Executed)
 	}
-	for tt := range conc.PerType {
-		if conc.PerType[tt].Count != serial.PerType[tt].Count {
+	for tt := range conc.PerOp {
+		if conc.PerOp[tt].Count != serial.PerOp[tt].Count {
 			t.Errorf("type %v: concurrent count %d vs serial %d",
-				TxType(tt), conc.PerType[tt].Count, serial.PerType[tt].Count)
+				TxType(tt), conc.PerOp[tt].Count, serial.PerOp[tt].Count)
 		}
 	}
 }

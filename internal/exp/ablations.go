@@ -93,7 +93,7 @@ func BufferSweep(c Config) (*report.Table, error) {
 			return nil, fmt.Errorf("buffer sweep %d: %w", b, err)
 		}
 		st := db.Store.Stats()
-		t.AddRow(report.Int(b), report.F1(m.MeanIOsPerTx()),
+		t.AddRow(report.Int(b), report.F1(m.MeanIOsPerOp()),
 			report.F2(st.Pool.HitRatio()), report.Int(st.Pages))
 	}
 	return t, nil
@@ -121,7 +121,10 @@ func generateWithCacheBudget(p core.Params, pages int) (*core.Database, error) {
 }
 
 // MultiClient reproduces ablation A3: OCB's multi-user mode (CLIENTN > 1),
-// almost unique among the period's benchmarks per Section 3.1.
+// almost unique among the period's benchmarks per Section 3.1. Every row
+// runs on one database, resharded to the store geometry a database
+// generated for that client count gets (Params.StoreShards' auto rule:
+// 1 shard at one client, 16 otherwise) and started cold.
 func MultiClient(c Config) (*report.Table, error) {
 	clients := []int{1, 2, 4, 8}
 	perClient := 100
@@ -129,28 +132,26 @@ func MultiClient(c Config) (*report.Table, error) {
 		clients = []int{1, 2, 4}
 		perClient = 40
 	}
+	db, err := core.Generate(scalabilityParams(c))
+	if err != nil {
+		return nil, fmt.Errorf("multiclient: %w", err)
+	}
+	defer backend.Shutdown(db.Store)
+	pts, err := sweepClients(db, clients, perClient, 31337+c.Seed, 0, func(n int) int {
+		if n == 1 {
+			return 1
+		}
+		return 16
+	})
+	if err != nil {
+		return nil, fmt.Errorf("multiclient: %w", err)
+	}
 	t := report.New("A3 — multi-client scaling",
 		"Clients", "Transactions", "Mean I/Os per tx", "Wall time", "Tx/s")
-	for _, cl := range clients {
-		p := c.mimicParams()
-		d := core.DefaultParams()
-		p.PSet, p.PSimple, p.PHier, p.PStoch = d.PSet, d.PSimple, d.PHier, d.PStoch
-		p.SetDepth, p.SimDepth, p.HieDepth, p.StoDepth = d.SetDepth, d.SimDepth, d.HieDepth, d.StoDepth
-		p.ClientN = cl
-		db, err := core.Generate(p)
-		if err != nil {
-			return nil, fmt.Errorf("multiclient %d: %w", cl, err)
-		}
-		defer backend.Shutdown(db.Store)
-		db.Store.DropCache()
-		r := core.NewRunner(db, nil)
-		m, err := r.RunPhase("clients", perClient, 31337+c.Seed)
-		if err != nil {
-			return nil, fmt.Errorf("multiclient %d: %w", cl, err)
-		}
-		tps := float64(m.Transactions) / m.Duration.Seconds()
-		t.AddRow(report.Int(cl), report.I64(m.Transactions),
-			report.F1(m.MeanIOsPerTx()), report.Dur(m.Duration), report.F1(tps))
+	for _, pt := range pts {
+		r := pt.Result
+		t.AddRow(report.Int(pt.Clients), report.I64(r.Executed),
+			report.F1(r.MeanIOsPerOp()), report.Dur(r.Duration), report.F1(r.Throughput))
 	}
 	t.AddNote("shared store and buffer: clients pollute each other's cache")
 	return t, nil
@@ -185,7 +186,7 @@ func Reverse(c Config) (*report.Table, error) {
 		if rev {
 			name = "reversed"
 		}
-		t.AddRow(name, report.F1(m.MeanIOsPerTx()), report.F1(m.Global.Objects.Mean()))
+		t.AddRow(name, report.F1(m.MeanIOsPerOp()), report.F1(m.Total.Objects.Mean()))
 	}
 	return t, nil
 }
@@ -264,13 +265,13 @@ func TypeBreakdown(c Config) (*report.Table, error) {
 	t := report.New("Per-transaction-type metrics (default workload mix)",
 		"Type", "Count", "Mean response (µs)", "Mean objects", "Mean I/Os", "P95 response (µs)")
 	for typ := core.TxType(0); typ < core.NumTxTypes; typ++ {
-		tm := m.PerType[typ]
+		tm := &m.PerOp[typ]
 		t.AddRow(typ.String(), report.I64(tm.Count), report.F1(tm.Response.Mean()),
 			report.F1(tm.Objects.Mean()), report.F1(tm.IOs.Mean()), report.F1(tm.ResponseQ.P95()))
 	}
-	t.AddRow("all", report.I64(m.Transactions), report.F1(m.Global.Response.Mean()),
-		report.F1(m.Global.Objects.Mean()), report.F1(m.Global.IOs.Mean()),
-		report.F1(m.Global.ResponseQ.P95()))
+	t.AddRow("all", report.I64(m.Executed), report.F1(m.Total.Response.Mean()),
+		report.F1(m.Total.Objects.Mean()), report.F1(m.Total.IOs.Mean()),
+		report.F1(m.Total.ResponseQ.P95()))
 	return t, nil
 }
 
@@ -343,12 +344,12 @@ func GenericWorkload(c Config) (*report.Table, error) {
 	t := report.New("A6 — fully generic workload (Section 5 extension)",
 		"Type", "Count", "Mean response (µs)", "Mean objects", "Mean I/Os")
 	for typ := core.TxType(0); typ < core.NumTxTypes; typ++ {
-		tm := m.PerType[typ]
+		tm := &m.PerOp[typ]
 		t.AddRow(typ.String(), report.I64(tm.Count), report.F1(tm.Response.Mean()),
 			report.F1(tm.Objects.Mean()), report.F1(tm.IOs.Mean()))
 	}
-	t.AddRow("all", report.I64(m.Transactions), report.F1(m.Global.Response.Mean()),
-		report.F1(m.Global.Objects.Mean()), report.F1(m.Global.IOs.Mean()))
+	t.AddRow("all", report.I64(m.Executed), report.F1(m.Total.Response.Mean()),
+		report.F1(m.Total.Objects.Mean()), report.F1(m.Total.IOs.Mean()))
 	t.AddNote("live objects after churn: %d (started at %d)", db.NumLive(), p.NO)
 	return t, nil
 }

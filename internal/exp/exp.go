@@ -126,8 +126,8 @@ func heldOut(db *core.Database, policy cluster.Policy, obsN, measN, reps int, se
 	if err != nil {
 		return res, err
 	}
-	res.Before = before.MeanIOsPerTx()
-	res.After = after.MeanIOsPerTx()
+	res.Before = before.MeanIOsPerOp()
+	res.After = after.MeanIOsPerOp()
 	if res.After > 0 {
 		res.Gain = res.Before / res.After
 	}
@@ -149,7 +149,7 @@ func replay(db *core.Database, policy cluster.Policy, n, reps int, seed int64) (
 			return res, err
 		}
 		if rep == 0 {
-			res.Before = m.MeanIOsPerTx()
+			res.Before = m.MeanIOsPerOp()
 		}
 	}
 	clBefore := db.Store.Stats().Disk.ClusteringIOs()
@@ -164,7 +164,7 @@ func replay(db *core.Database, policy cluster.Policy, n, reps int, seed int64) (
 	if err != nil {
 		return res, err
 	}
-	res.After = m.MeanIOsPerTx()
+	res.After = m.MeanIOsPerOp()
 	if res.After > 0 {
 		res.Gain = res.Before / res.After
 	}

@@ -203,6 +203,11 @@ func TestMultiClientCounts(t *testing.T) {
 	if t4 != 4*t1 {
 		t.Fatalf("transactions: 1 client %v, 4 clients %v", t1, t4)
 	}
+	// The 1-client row runs the shared database resharded to one shard,
+	// from a cold cache: a database generated for one client.
+	if got, want := tb.Cell(0, 2), directMeanIOs(t, scalabilityParams(quick), 1, 40, 31337); got != want {
+		t.Fatalf("1-client mean I/Os per tx = %s, direct RunPhase = %s", got, want)
+	}
 }
 
 func TestReverseRuns(t *testing.T) {

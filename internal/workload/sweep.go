@@ -20,8 +20,8 @@ type SweepPoint struct {
 // SweepOptions selects the grid a Sweep visits.
 type SweepOptions struct {
 	// Clients lists the client counts to visit; empty means the spec's
-	// own count. This is the engine-level generalization of the core
-	// protocol's CLIENTN scalability experiment to any Spec.
+	// own count. OCB's CLIENTN sweeps run the core protocol's phase spec
+	// through it.
 	Clients []int
 	// Rates lists arrival-rate targets (ops/sec across all clients) to
 	// visit at each client count; empty means one pass with the spec's

@@ -222,6 +222,24 @@ func (m *OpMetrics) Merge(o *OpMetrics) {
 }
 
 // Result is the unified measurement every scenario run produces.
+//
+// Exactness under concurrency (Clients > 1): Executed and the per-op
+// Count fields are exact and schedule-independent — each client replays
+// a deterministic stream. The Objects welfords are schedule-independent
+// only under a read-only mix; with a mutating mix (OCB's Section 5
+// PInsert/PDelete > 0) an operation's object count depends on which
+// insertions and deletions other clients committed first, so only the
+// totals' exactness survives, not their run-to-run reproducibility.
+// DiskDelta is exact (atomic counters around the whole phase lose
+// nothing) and is additionally schedule-independent when the cache holds
+// the phase's working set; under cache pressure the replacement policy's
+// choices depend on how clients interleave, so the delta can vary
+// slightly between runs. The per-op IOs welfords are approximate: each
+// operation's I/O delta is read from the shared disk counters, so it
+// includes faults that concurrent clients interleaved into the window —
+// MeanIOsPerOp, computed from DiskDelta, is the exact headline. Response
+// times are wall-clock and naturally vary run to run. With one client
+// every metric except response time is exact and reproducible.
 type Result struct {
 	// Name and Clients echo the spec.
 	Name    string
